@@ -20,65 +20,12 @@
 //!   within one greedy round / one `cancel_check_every` eval block.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use grain_bench::record::{summarize, write_json, Case};
 use grain_core::{Budget, CancelToken, GrainConfig, GrainService, OnDeadline, SelectionRequest};
 use grain_data::synthetic::papers_like;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One benchmark case's own timing record (criterion's console report is
-/// printed independently; these samples feed the JSON summary).
-struct Case {
-    name: &'static str,
-    samples: Vec<Duration>,
-    metrics: Vec<(&'static str, f64)>,
-}
-
-fn summarize(samples: &[Duration]) -> (u128, u128, u128) {
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    let min = sorted.first().copied().unwrap_or_default().as_nanos();
-    let median = sorted
-        .get(sorted.len() / 2)
-        .copied()
-        .unwrap_or_default()
-        .as_nanos();
-    let mean = if sorted.is_empty() {
-        0
-    } else {
-        sorted.iter().map(Duration::as_nanos).sum::<u128>() / sorted.len() as u128
-    };
-    (min, median, mean)
-}
-
-fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    let mut body = String::from("{\n  \"bench\": \"cancel\",\n  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        let (min, median, mean) = summarize(&case.samples);
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \
-             \"mean_ns\": {}",
-            case.name,
-            case.samples.len(),
-            min,
-            median,
-            mean
-        ));
-        for (key, value) in &case.metrics {
-            body.push_str(&format!(", \"{key}\": {value}"));
-        }
-        body.push_str(if i + 1 == cases.len() { "}\n" } else { "},\n" });
-    }
-    body.push_str("  ]\n}\n");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = format!("{dir}/BENCH_cancel.json");
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-}
 
 fn bench_cancellation(c: &mut Criterion) {
     let dataset = papers_like(2_000, 31);
@@ -111,7 +58,7 @@ fn bench_cancellation(c: &mut Criterion) {
     });
     let full_run = summarize(&full.borrow()).1; // median ns
     cases.push(Case {
-        name: "run-to-completion",
+        name: "run-to-completion".to_string(),
         samples: full.into_inner(),
         metrics: vec![("budget", budget as f64)],
     });
@@ -145,7 +92,7 @@ fn bench_cancellation(c: &mut Criterion) {
         })
     });
     cases.push(Case {
-        name: "deadline-partial",
+        name: "deadline-partial".to_string(),
         samples: partial.into_inner(),
         metrics: vec![
             ("deadline_ns", deadline.as_nanos() as f64),
@@ -182,13 +129,13 @@ fn bench_cancellation(c: &mut Criterion) {
         })
     });
     cases.push(Case {
-        name: "cancel-observe",
+        name: "cancel-observe".to_string(),
         samples: observe.into_inner(),
         metrics: vec![("full_run_median_ns", full_run as f64)],
     });
 
     group.finish();
-    write_json(&cases);
+    write_json("cancel", &cases);
 }
 
 criterion_group!(benches, bench_cancellation);

@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grain_data::synthetic::papers_like;
 use grain_graph::{transition_matrix, TransitionKind};
+use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, CoverageState, InfluenceRows, ThetaRule};
+use grain_prop::Kernel;
 
 fn bench_influence_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("influence-rows");
@@ -14,7 +16,15 @@ fn bench_influence_rows(c: &mut Criterion) {
         let t = transition_matrix(&dataset.graph, TransitionKind::RandomWalk, true);
         group.bench_with_input(BenchmarkId::from_parameter(n), &t, |b, t| {
             b.iter(|| {
-                let rows = InfluenceRows::compute(t, 2, 1e-4);
+                let rows = InfluenceRows::build(
+                    t,
+                    &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
+                    1e-4,
+                    0,
+                    0,
+                    &|| false,
+                )
+                .unwrap();
                 std::hint::black_box(rows.nnz())
             })
         });
@@ -25,14 +35,22 @@ fn bench_influence_rows(c: &mut Criterion) {
 fn bench_index_and_coverage(c: &mut Criterion) {
     let dataset = papers_like(8_000, 12);
     let t = transition_matrix(&dataset.graph, TransitionKind::RandomWalk, true);
-    let rows = InfluenceRows::compute(&t, 2, 1e-4);
+    let rows = InfluenceRows::build(
+        &t,
+        &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
+        1e-4,
+        0,
+        0,
+        &|| false,
+    )
+    .unwrap();
     c.bench_function("activation-index-build", |b| {
         b.iter(|| {
-            let idx = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.25));
+            let idx = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 1);
             std::hint::black_box(idx.total_entries())
         })
     });
-    let index = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.25));
+    let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 1);
     c.bench_function("coverage-greedy-round", |b| {
         b.iter(|| {
             // One full greedy round: marginal gains of 1000 candidates.

@@ -24,6 +24,7 @@
 //! committed JSON comes from an uncapped run (n up to 1e5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use grain_bench::record::{write_json, Case};
 use grain_core::{
     Budget, GrainConfig, GrainService, GrainVariant, GreedyAlgorithm, ScratchDir, SelectionRequest,
 };
@@ -36,58 +37,6 @@ use std::time::{Duration, Instant};
 const BUDGET: usize = 64;
 const TOP_K: usize = 32;
 const FEATURE_DIM: usize = 8;
-
-struct Case {
-    name: String,
-    samples: Vec<Duration>,
-    metrics: Vec<(&'static str, f64)>,
-}
-
-fn summarize(samples: &[Duration]) -> (u128, u128, u128) {
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    let min = sorted.first().copied().unwrap_or_default().as_nanos();
-    let median = sorted
-        .get(sorted.len() / 2)
-        .copied()
-        .unwrap_or_default()
-        .as_nanos();
-    let mean = if sorted.is_empty() {
-        0
-    } else {
-        sorted.iter().map(Duration::as_nanos).sum::<u128>() / sorted.len() as u128
-    };
-    (min, median, mean)
-}
-
-fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    let mut body = String::from("{\n  \"bench\": \"persist\",\n  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        let (min, median, mean) = summarize(&case.samples);
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \
-             \"mean_ns\": {}",
-            case.name,
-            case.samples.len(),
-            min,
-            median,
-            mean
-        ));
-        for (key, value) in &case.metrics {
-            body.push_str(&format!(", \"{key}\": {value}"));
-        }
-        body.push_str(if i + 1 == cases.len() { "}\n" } else { "},\n" });
-    }
-    body.push_str("  ]\n}\n");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = format!("{dir}/BENCH_persist.json");
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-}
 
 fn features(n: usize) -> DenseMatrix {
     let data: Vec<f32> = (0..n * FEATURE_DIM)
@@ -259,7 +208,7 @@ fn bench_persist(c: &mut Criterion) {
     for &n in &ladder {
         run_rung(c, n, &mut cases);
     }
-    write_json(&cases);
+    write_json("persist", &cases);
 }
 
 criterion_group!(benches, bench_persist);

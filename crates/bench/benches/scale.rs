@@ -9,10 +9,9 @@
 //! * **cold build** — wall-clock of the first request, with the engine's
 //!   own per-stage breakdown (propagation / influence rows / indexing /
 //!   greedy), i.e. what standing up the artifacts costs;
-//! * **resident bytes** — the CSR influence artifact as allocated vs.
-//!   what the retired nested `Vec<Vec<(u32, f32)>>` layout would have
-//!   occupied at the same config, plus the all-artifact total the pool
-//!   accounts ([`grain_core::ArtifactBytes`]);
+//! * **resident bytes** — the CSR influence artifact as allocated, plus
+//!   the all-artifact total the pool accounts
+//!   ([`grain_core::ArtifactBytes`]);
 //! * **warm selection latency** — repeated selections over warm
 //!   artifacts, the steady-state serving cost;
 //! * **CELF vs. plain evaluations** — marginal-gain evaluations the lazy
@@ -30,6 +29,7 @@
 //! from an uncapped run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use grain_bench::record::{write_json, Case};
 use grain_core::{
     Budget, GrainConfig, GrainService, GrainVariant, GreedyAlgorithm, SelectionReport,
     SelectionRequest,
@@ -37,7 +37,7 @@ use grain_core::{
 use grain_graph::generators;
 use grain_linalg::DenseMatrix;
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Labeling budget per rung.
 const BUDGET: usize = 64;
@@ -53,58 +53,6 @@ const FEATURE_DIM: usize = 8;
 /// form (the selected set is identical either way — property-tested — so
 /// only the evaluation counter is at stake).
 const PLAIN_MEASURE_MAX_N: usize = 100_000;
-
-struct Case {
-    name: String,
-    samples: Vec<Duration>,
-    metrics: Vec<(&'static str, f64)>,
-}
-
-fn summarize(samples: &[Duration]) -> (u128, u128, u128) {
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    let min = sorted.first().copied().unwrap_or_default().as_nanos();
-    let median = sorted
-        .get(sorted.len() / 2)
-        .copied()
-        .unwrap_or_default()
-        .as_nanos();
-    let mean = if sorted.is_empty() {
-        0
-    } else {
-        sorted.iter().map(Duration::as_nanos).sum::<u128>() / sorted.len() as u128
-    };
-    (min, median, mean)
-}
-
-fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    let mut body = String::from("{\n  \"bench\": \"scale\",\n  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        let (min, median, mean) = summarize(&case.samples);
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \
-             \"mean_ns\": {}",
-            case.name,
-            case.samples.len(),
-            min,
-            median,
-            mean
-        ));
-        for (key, value) in &case.metrics {
-            body.push_str(&format!(", \"{key}\": {value}"));
-        }
-        body.push_str(if i + 1 == cases.len() { "}\n" } else { "},\n" });
-    }
-    body.push_str("  ]\n}\n");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = format!("{dir}/BENCH_scale.json");
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-}
 
 /// Deterministic synthetic features: cheap to generate at n=1e6 and
 /// non-degenerate (distinct rows), which is all the hot path needs.
@@ -157,12 +105,6 @@ fn run_rung(service: &GrainService, c: &mut Criterion, n: usize, cases: &mut Vec
         "scale rung n={n} must run to completion"
     );
     let bytes = cold.artifact_bytes;
-    assert!(
-        bytes.influence_rows < bytes.influence_rows_nested,
-        "CSR must undercut the nested layout (n={n}: {} !< {})",
-        bytes.influence_rows,
-        bytes.influence_rows_nested
-    );
     let timings = &outcome.timings;
     cases.push(Case {
         name: format!("cold-build/{n}"),
@@ -176,16 +118,11 @@ fn run_rung(service: &GrainService, c: &mut Criterion, n: usize, cases: &mut Vec
             ("greedy_ns", timings.greedy.as_nanos() as f64),
             ("resident_bytes_total", bytes.total() as f64),
             ("influence_rows_bytes", bytes.influence_rows as f64),
-            (
-                "influence_rows_nested_bytes",
-                bytes.influence_rows_nested as f64,
-            ),
-            (
-                "csr_saving_ratio",
-                1.0 - bytes.influence_rows as f64 / bytes.influence_rows_nested as f64,
-            ),
             ("activation_index_bytes", bytes.activation_index as f64),
-            ("pool_resident_bytes", cold.pool_stats.resident_bytes as f64),
+            (
+                "pool_resident_bytes",
+                service.pool_stats().resident_bytes as f64,
+            ),
         ],
     });
 
@@ -267,7 +204,7 @@ fn bench_scale(c: &mut Criterion) {
     for &n in &ladder {
         run_rung(&service, c, n, &mut cases);
     }
-    write_json(&cases);
+    write_json("scale", &cases);
 }
 
 criterion_group!(benches, bench_scale);

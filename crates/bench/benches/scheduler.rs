@@ -20,6 +20,7 @@
 //! — one greedy instead of `STORM` — so it survives any core count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use grain_bench::record::{write_json, Case};
 use grain_core::{
     Budget, GrainConfig, GrainService, ScheduledRequest, Scheduler, SchedulerConfig,
     SelectionRequest, Ticket,
@@ -31,60 +32,6 @@ use std::time::{Duration, Instant};
 
 const STORM: usize = 32;
 const SHED_BURST: usize = 12;
-
-/// One benchmark case's own timing record (criterion's console report is
-/// printed independently; these samples feed the JSON summary).
-struct Case {
-    name: &'static str,
-    samples: Vec<Duration>,
-    metrics: Vec<(&'static str, f64)>,
-}
-
-fn summarize(samples: &[Duration]) -> (u128, u128, u128) {
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    let min = sorted.first().copied().unwrap_or_default().as_nanos();
-    let median = sorted
-        .get(sorted.len() / 2)
-        .copied()
-        .unwrap_or_default()
-        .as_nanos();
-    let mean = if sorted.is_empty() {
-        0
-    } else {
-        sorted.iter().map(Duration::as_nanos).sum::<u128>() / sorted.len() as u128
-    };
-    (min, median, mean)
-}
-
-fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    let mut body = String::from("{\n  \"bench\": \"scheduler\",\n  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        let (min, median, mean) = summarize(&case.samples);
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \
-             \"mean_ns\": {}",
-            case.name,
-            case.samples.len(),
-            min,
-            median,
-            mean
-        ));
-        for (key, value) in &case.metrics {
-            body.push_str(&format!(", \"{key}\": {value}"));
-        }
-        body.push_str(if i + 1 == cases.len() { "}\n" } else { "},\n" });
-    }
-    body.push_str("  ]\n}\n");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = format!("{dir}/BENCH_scheduler.json");
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-}
 
 fn bench_scheduler(c: &mut Criterion) {
     let dataset = papers_like(2_000, 31);
@@ -124,7 +71,7 @@ fn bench_scheduler(c: &mut Criterion) {
         },
     );
     cases.push(Case {
-        name: "storm/naive-serial",
+        name: "storm/naive-serial".to_string(),
         samples: naive.into_inner(),
         metrics: vec![
             ("storm_size", STORM as f64),
@@ -164,7 +111,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let delta_selections = scheduler.stats().selections - before.selections;
     let rounds = coalesced.borrow().len();
     cases.push(Case {
-        name: "storm/scheduler-coalesced",
+        name: "storm/scheduler-coalesced".to_string(),
         samples: coalesced.into_inner(),
         metrics: vec![
             ("storm_size", STORM as f64),
@@ -231,7 +178,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let submitted = (after.enqueued + after.coalesced) - (before.enqueued + before.coalesced);
     let shed_total = after.shed_deadline - before.shed_deadline;
     cases.push(Case {
-        name: "deadline-shed",
+        name: "deadline-shed".to_string(),
         samples: shed.into_inner(),
         metrics: vec![
             ("burst_size", SHED_BURST as f64),
@@ -240,7 +187,7 @@ fn bench_scheduler(c: &mut Criterion) {
     });
 
     group.finish();
-    write_json(&cases);
+    write_json("scheduler", &cases);
 }
 
 criterion_group!(benches, bench_scheduler);

@@ -9,6 +9,7 @@
 pub mod cli;
 pub mod eval;
 pub mod lineup;
+pub mod record;
 pub mod table;
 
 pub use cli::Flags;

@@ -8,10 +8,10 @@
 //! |---|---|---|
 //! | 0 | payload length | `u32` LE (≤ the connection's max frame length) |
 //! | 4 | magic | `u32` LE, `b"GRNE"` |
-//! | 8 | version | `u8`, currently 1 |
+//! | 8 | version | `u8`, currently 2 |
 //! | 9 | kind | `u8` (1 Hello, 2 HelloAck, 3 Request, 4 Response, 5 Error) |
 //! | 10 | body | kind-specific flat binary |
-//! | len−4 | checksum | `u64` FNV-1a over payload bytes before it |
+//! | len−4 | checksum | `u64` [`frame_checksum`] of the payload bytes before it |
 //!
 //! The body dialect matches `store.rs`: all integers little-endian,
 //! strings as `u32` length + UTF-8 bytes, lists as `u32` element count +
@@ -36,8 +36,8 @@ use std::io::{Read, Write};
 /// Frame magic, `b"GRNE"` read as a little-endian `u32`.
 pub const EDGE_MAGIC: u32 = u32::from_le_bytes(*b"GRNE");
 
-/// Wire codec version; bumped on any layout change.
-pub const EDGE_VERSION: u8 = 1;
+/// Wire codec version; bumped on any layout or checksum change.
+pub const EDGE_VERSION: u8 = 2;
 
 /// Default per-connection frame-size cap (16 MiB) — large candidate
 /// lists fit, but a hostile length prefix cannot reserve unbounded
@@ -48,16 +48,12 @@ pub const DEFAULT_MAX_FRAME_LEN: usize = 16 << 20;
 /// checksum with an empty body.
 pub const MIN_PAYLOAD_LEN: usize = 4 + 1 + 1 + 8;
 
-/// 64-bit FNV-1a over a byte string (the store's checksum primitive,
-/// restated over the frame payload).
+/// The frame checksum over the payload bytes that precede it: the
+/// artifact store's file checksum (word-wise 64-bit FNV-1a with the
+/// length folded in and a final avalanche), so the repo has one hasher.
 #[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+pub fn frame_checksum(payload: &[u8]) -> u64 {
+    crate::store::checksum64(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +150,7 @@ pub struct WireRequest {
 /// The deterministic core of a [`SelectionReport`], as framed on the
 /// wire.
 ///
-/// Pool bookkeeping (`pool_stats`, `artifact_builds`, timings) is
+/// Pool bookkeeping (`artifact_builds`, `artifact_bytes`, timings) is
 /// deliberately *not* carried: those fields describe the serving
 /// process, not the selection, and differ between a warm and a cold
 /// server answering the same request. Everything that is a pure function
@@ -818,7 +814,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             e.str(&error.message);
         }
     }
-    let sum = fnv1a64(&e.buf);
+    let sum = frame_checksum(&e.buf);
     e.u64(sum);
     let mut framed = Vec::with_capacity(4 + e.buf.len());
     framed.extend_from_slice(
@@ -869,41 +865,41 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
     }
     let (body, sum_bytes) = payload.split_at(payload.len() - 8);
     let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv1a64(body) != stored {
+    if frame_checksum(body) != stored {
         return Err(protocol("checksum mismatch".into()));
     }
     let mut d = Dec::new(body);
-    let magic = d.u32().map_err(&protocol)?;
+    let magic = d.u32().map_err(protocol)?;
     if magic != EDGE_MAGIC {
         return Err(protocol(format!("bad magic {magic:#010x}")));
     }
-    let version = d.u8().map_err(&protocol)?;
+    let version = d.u8().map_err(protocol)?;
     if version != EDGE_VERSION {
         return Err(protocol(format!(
             "unsupported version {version} (this end speaks {EDGE_VERSION})"
         )));
     }
-    let kind = d.u8().map_err(&protocol)?;
+    let kind = d.u8().map_err(protocol)?;
     let frame = match kind {
         1 => Frame::Hello(Hello {
-            tenant: d.str().map_err(&protocol)?,
-            secret: d.str().map_err(&protocol)?,
+            tenant: d.str().map_err(protocol)?,
+            secret: d.str().map_err(protocol)?,
         }),
         2 => Frame::HelloAck(HelloAck {
-            weight: d.u32().map_err(&protocol)?,
-            rate_per_sec: d.f64().map_err(&protocol)?,
-            burst: d.f64().map_err(&protocol)?,
+            weight: d.u32().map_err(protocol)?,
+            rate_per_sec: d.f64().map_err(protocol)?,
+            burst: d.f64().map_err(protocol)?,
         }),
-        3 => Frame::Request(Box::new(dec_request(&mut d).map_err(&protocol)?)),
-        4 => Frame::Response(dec_response(&mut d).map_err(&protocol)?),
+        3 => Frame::Request(Box::new(dec_request(&mut d).map_err(protocol)?)),
+        4 => Frame::Response(dec_response(&mut d).map_err(protocol)?),
         5 => Frame::Error(WireError {
-            request_id: d.u64().map_err(&protocol)?,
-            code: d.u16().map_err(&protocol)?,
-            message: d.str().map_err(&protocol)?,
+            request_id: d.u64().map_err(protocol)?,
+            code: d.u16().map_err(protocol)?,
+            message: d.str().map_err(protocol)?,
         }),
         tag => return Err(protocol(format!("unknown frame kind {tag}"))),
     };
-    d.finish().map_err(&protocol)?;
+    d.finish().map_err(protocol)?;
     Ok(frame)
 }
 

@@ -32,16 +32,20 @@ use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm};
 use crate::diversity::{BallDiversity, DiversityFunction, NnDiversity, NullDiversity};
 use crate::error::{DeadlineStage, GrainError, GrainResult};
 use crate::fault;
-use crate::greedy::{lazy_greedy_ctl, plain_greedy_ctl};
+use crate::greedy::{lazy_greedy, plain_greedy};
 use crate::objective::{DimObjective, DiversityScope};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
+use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
 use grain_linalg::{distance, DenseMatrix};
 use grain_prop::cache::PropagationCache;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Panic message for stage builds driven by a token nothing can trip.
+const UNTRIPPED: &str = "a build under an untripped token cannot be cancelled";
 
 /// Exact-`d_max` cutoff for NN diversity; beyond this row count the constant
 /// is estimated by anchor sampling (see `grain-linalg::distance`).
@@ -123,9 +127,7 @@ type KernelKey = String;
 /// Exact resident heap bytes of each cached artifact class — the memory
 /// ledger behind [`SelectionEngine::artifact_bytes`]. All counts are
 /// *current* residency: an artifact not (yet) built counts zero. The flat
-/// CSR influence layout makes its count exact, and
-/// [`ArtifactBytes::influence_rows_nested`] reports what the same rows
-/// would cost in the retired `Vec<Vec<(u32, f32)>>` layout for comparison.
+/// CSR influence layout makes its count exact.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactBytes {
     /// Transition matrix `T` (CSR offsets + columns + values).
@@ -136,8 +138,6 @@ pub struct ArtifactBytes {
     pub embedding: usize,
     /// Influence rows in the flat CSR layout (exact).
     pub influence_rows: usize,
-    /// The same influence rows under the retired nested layout (cost model).
-    pub influence_rows_nested: usize,
     /// Activation index (flat CSR offsets + items).
     pub activation_index: usize,
     /// Ball membership lists (per-ball `Vec` headers + entries).
@@ -145,8 +145,7 @@ pub struct ArtifactBytes {
 }
 
 impl ArtifactBytes {
-    /// Total resident bytes across all artifact classes (the CSR influence
-    /// count, not the nested cost model).
+    /// Total resident bytes across all artifact classes.
     #[must_use]
     pub fn total(&self) -> usize {
         self.transition
@@ -261,30 +260,45 @@ impl SelectionEngine {
     /// baseline read bit-identical propagation from one store.
     pub fn propagated(&mut self) -> Arc<DenseMatrix> {
         self.ensure_transition();
-        self.ensure_propagation();
-        let transition = &self.transition.as_ref().expect("transition ensured").1;
+        self.ensure_propagation(&CancelToken::new())
+            .expect(UNTRIPPED);
         self.propagation
-            .get_with_par(self.config.kernel, transition, self.config.parallelism)
+            .get_cached(self.config.kernel)
+            .expect("propagation ensured")
     }
 
     /// Seeds the propagation cache with an externally computed `X^(k)`
-    /// for the active kernel, sharing the allocation — used when this
-    /// engine is a private companion of another engine (e.g. a
-    /// [`crate::service::GrainService`]-pooled one) that already holds
-    /// the artifact, so it is never re-propagated here.
+    /// and its power ladder for the active kernel, sharing the
+    /// allocations. Used when this engine is a companion of another
+    /// engine that already holds the artifact (a pooled sibling, the
+    /// source of a private detour), and when the store loads one, so it
+    /// is never re-propagated here.
     ///
-    /// # Panics
-    /// Panics if `value` does not have one row per graph node.
-    pub fn seed_propagated(&mut self, value: Arc<DenseMatrix>) {
-        self.propagation.seed(self.config.kernel, value);
+    /// Seeding is not a build: it bumps **no** build counter (the store's
+    /// save-on-build hook keys off those counters, so an adopted artifact
+    /// is never re-persisted). Returns `false` and seeds nothing if the
+    /// artifact does not fit this corpus and kernel (see
+    /// [`PropagationCache::seed`]); the next select then builds cold, as
+    /// on any other miss.
+    pub fn seed_propagated(
+        &mut self,
+        value: Arc<DenseMatrix>,
+        ladder: Vec<Arc<DenseMatrix>>,
+    ) -> bool {
+        self.propagation.seed(self.config.kernel, value, ladder)
     }
 
-    /// The cached `X^(k)` for `kernel` if this engine has already
-    /// propagated (or been seeded with) it — computes nothing on a miss.
-    /// Siblings over the same corpus use this to seed each other via
-    /// [`SelectionEngine::seed_propagated`].
-    pub fn propagated_if_cached(&self, kernel: grain_prop::Kernel) -> Option<Arc<DenseMatrix>> {
-        self.propagation.get_cached(kernel)
+    /// The cached `X^(k)` and power ladder for `kernel` if this engine has
+    /// already propagated (or been seeded with) it — computes nothing on
+    /// a miss, and the handles share the cached allocations. Siblings over
+    /// the same corpus hand these to each other via
+    /// [`SelectionEngine::seed_propagated`]; the store persists them.
+    pub fn propagated_if_cached(
+        &self,
+        kernel: grain_prop::Kernel,
+    ) -> Option<(Arc<DenseMatrix>, Vec<Arc<DenseMatrix>>)> {
+        let value = self.propagation.get_cached(kernel)?;
+        Some((value, self.propagation.cached_ladder(kernel)))
     }
 
     // ---- artifact-store adoption / extraction ---------------------------
@@ -296,21 +310,8 @@ impl SelectionEngine {
     // save-on-build hook keys off those counters to avoid re-persisting
     // what was just loaded). Every adopter is shape-defensive and returns
     // `false` instead of panicking on a mismatched artifact, which the
-    // service treats like a miss (cold build proceeds).
-
-    /// Adopts a store-loaded `X^(k)` + power ladder for the active kernel.
-    pub(crate) fn adopt_propagation(
-        &mut self,
-        value: Arc<DenseMatrix>,
-        ladder: Vec<Arc<DenseMatrix>>,
-    ) -> bool {
-        if value.rows() != self.graph.num_nodes() || value.cols() != self.features.cols() {
-            return false;
-        }
-        self.propagation
-            .seed_with_ladder(self.config.kernel, value, ladder);
-        true
-    }
+    // service treats like a miss (cold build proceeds). `X^(k)` is
+    // adopted through the public `seed_propagated`.
 
     /// Adopts store-loaded influence rows under the active
     /// (kernel, eps, top-k) cache key.
@@ -341,15 +342,6 @@ impl SelectionEngine {
         );
         self.index = Some((key, index));
         true
-    }
-
-    /// The cached `X^(k)` + ladder for the active kernel — the save side
-    /// of the store hooks. `None` until propagation has built.
-    pub(crate) fn persistable_propagation(
-        &self,
-    ) -> Option<(Arc<DenseMatrix>, Vec<Arc<DenseMatrix>>)> {
-        let value = self.propagation.get_cached(self.config.kernel)?;
-        Some((value, self.propagation.cached_ladder(self.config.kernel)))
     }
 
     /// The cached influence rows iff their key matches the active config.
@@ -406,10 +398,7 @@ impl SelectionEngine {
         });
         let propagation = self.propagation.resident_bytes(self.config.kernel);
         let embedding = self.embedding.as_ref().map_or(0, |(_, e)| dense_bytes(e));
-        let (influence_rows, influence_rows_nested) =
-            self.rows.as_ref().map_or((0, 0), |(_, r)| {
-                (r.resident_bytes(), r.nested_layout_bytes())
-            });
+        let influence_rows = self.rows.as_ref().map_or(0, |(_, r)| r.resident_bytes());
         let activation_index = self.index.as_ref().map_or(0, |(_, i)| i.resident_bytes());
         let balls = self.balls.as_ref().map_or(0, |(_, (lists, _))| {
             lists
@@ -422,7 +411,6 @@ impl SelectionEngine {
             propagation,
             embedding,
             influence_rows,
-            influence_rows_nested,
             activation_index,
             balls,
         }
@@ -507,17 +495,17 @@ impl SelectionEngine {
 
         // 1. Decoupled propagation (Eq. 6) on the kernel's transition matrix.
         self.ensure_transition();
-        self.ensure_propagation_ctl(cancel)?;
+        self.ensure_propagation(cancel)?;
         let propagation = t0.elapsed();
 
         // 2. Influence rows under the kernel Jacobian (Def. 3.1 / Eq. 9).
         let t1 = Instant::now();
-        self.ensure_rows_ctl(cancel)?;
+        self.ensure_rows(cancel)?;
         let influence = t1.elapsed();
 
         // 3. Activation index (Def. 3.2) + diversity precomputation (§3.3).
         let t2 = Instant::now();
-        self.ensure_index_ctl(cancel)?;
+        self.ensure_index(cancel)?;
         self.ensure_embedding();
         let diversity = self.build_diversity(variant, cancel)?;
         // §3.4 candidate pruning is per-pool, not a cached artifact.
@@ -540,10 +528,10 @@ impl SelectionEngine {
         let check_every = self.config.cancel_check_every;
         let trace = match self.config.algorithm {
             GreedyAlgorithm::Plain => {
-                plain_greedy_ctl(&mut objective, &pool, budget, cancel, check_every)
+                plain_greedy(&mut objective, &pool, budget, cancel, check_every)
             }
             GreedyAlgorithm::Lazy => {
-                lazy_greedy_ctl(&mut objective, &pool, budget, cancel, check_every)
+                lazy_greedy(&mut objective, &pool, budget, cancel, check_every)
             }
         };
         let greedy = t3.elapsed();
@@ -602,7 +590,8 @@ impl SelectionEngine {
     /// re-normalizing the propagation themselves.
     pub fn normalized_embedding(&mut self) -> Arc<DenseMatrix> {
         self.ensure_transition();
-        self.ensure_propagation();
+        self.ensure_propagation(&CancelToken::new())
+            .expect(UNTRIPPED);
         self.ensure_embedding();
         Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1)
     }
@@ -611,15 +600,16 @@ impl SelectionEngine {
     /// interpretability experiments read activation lists directly.
     pub fn activation_index(&mut self) -> &ActivationIndex {
         self.ensure_transition();
-        self.ensure_rows();
-        self.ensure_index();
+        let untripped = CancelToken::new();
+        self.ensure_rows(&untripped).expect(UNTRIPPED);
+        self.ensure_index(&untripped).expect(UNTRIPPED);
         &self.index.as_ref().expect("index ensured").1
     }
 
     /// The influence rows under the current config (built or cached).
     pub fn influence_rows(&mut self) -> &InfluenceRows {
         self.ensure_transition();
-        self.ensure_rows();
+        self.ensure_rows(&CancelToken::new()).expect(UNTRIPPED);
         &self.rows.as_ref().expect("rows ensured").1
     }
 
@@ -640,8 +630,9 @@ impl SelectionEngine {
     ///   [`CsrMatrix::with_replaced_rows`]; rebuilt cold only when no
     ///   transition of the right kind is cached;
     /// * **propagation** — dirty rows re-propagated level-locally via
-    ///   [`PropagationCache::repropagate_rows`] against the donor's power
-    ///   ladder (`O(k · |dirty|)` SpMM rows), clean rows `memcpy`d;
+    ///   [`PropagationCache::repropagate_rows_laddered`] against the
+    ///   donor's power ladder (`O(k · |dirty|)` SpMM rows), clean rows
+    ///   `memcpy`d;
     /// * **embedding** — clean rows `memcpy`d from the old embedding
     ///   (their `X^(k)` rows are bit-identical, so their normalizations
     ///   are too), dirty rows re-normalized with the same per-row op as
@@ -691,7 +682,7 @@ impl SelectionEngine {
         if let Some(old_x) = self.propagation.get_cached(kernel) {
             let stage = Instant::now();
             let old_ladder = self.propagation.cached_ladder(kernel);
-            let patched_x = propagation.repropagate_rows(
+            let patched_x = propagation.repropagate_rows_laddered(
                 kernel,
                 &t_new,
                 &old_x,
@@ -780,15 +771,10 @@ impl SelectionEngine {
         }
     }
 
-    fn ensure_propagation(&mut self) {
-        self.ensure_propagation_ctl(&CancelToken::new())
-            .expect("propagation with an untripped token cannot be cancelled");
-    }
-
     /// Builds `X^(k)` unless cached, polling `cancel` between SpMM power
     /// steps. A cancelled build caches nothing (no torn artifacts) and
     /// bumps no build counter; the next request starts fresh.
-    fn ensure_propagation_ctl(&mut self, cancel: &CancelToken) -> GrainResult<()> {
+    fn ensure_propagation(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let kernel = self.config.kernel;
         if self.propagation.contains(kernel) {
             return Ok(());
@@ -798,7 +784,7 @@ impl SelectionEngine {
         let transition = &self.transition.as_ref().expect("transition ensured").1;
         match self
             .propagation
-            .get_with_ctl(kernel, transition, self.config.parallelism, &|| {
+            .get_with(kernel, transition, self.config.parallelism, &|| {
                 cancel.is_cancelled()
             }) {
             Some(_) => {
@@ -812,29 +798,20 @@ impl SelectionEngine {
     fn ensure_embedding(&mut self) {
         let key = self.config.kernel.cache_key();
         if self.embedding.as_ref().map(|(k, _)| k) != Some(&key) {
-            let embedding = {
-                let transition = &self.transition.as_ref().expect("transition ensured").1;
-                let smoothed = self.propagation.get_with_par(
-                    self.config.kernel,
-                    transition,
-                    self.config.parallelism,
-                );
-                distance::normalized_embedding_par(&smoothed, self.config.parallelism)
-            };
+            let smoothed = self
+                .propagation
+                .get_cached(self.config.kernel)
+                .expect("propagation ensured");
+            let embedding = distance::normalized_embedding(&smoothed, self.config.parallelism);
             self.embedding = Some((key, Arc::new(embedding)));
             self.stats.embedding_builds += 1;
         }
     }
 
-    fn ensure_rows(&mut self) {
-        self.ensure_rows_ctl(&CancelToken::new())
-            .expect("an influence build with an untripped token cannot be cancelled");
-    }
-
     /// Builds the influence rows unless cached, polling `cancel` every 64
     /// rows inside the parallel build. A cancelled build discards its
     /// partial rows wholesale and caches nothing.
-    fn ensure_rows_ctl(&mut self, cancel: &CancelToken) -> GrainResult<()> {
+    fn ensure_rows(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let key = (
             self.config.kernel.cache_key(),
             self.config.influence_eps.to_bits(),
@@ -846,9 +823,9 @@ impl SelectionEngine {
         fault::point("engine.build.rows", Some(cancel));
         cancel.checkpoint()?;
         let transition = &self.transition.as_ref().expect("transition ensured").1;
-        match InfluenceRows::for_kernel_topk_ctl(
+        match InfluenceRows::build(
             transition,
-            self.config.kernel,
+            &kernel_power_weights(self.config.kernel),
             self.config.influence_eps,
             self.config.influence_row_top_k,
             self.config.parallelism,
@@ -863,15 +840,10 @@ impl SelectionEngine {
         }
     }
 
-    fn ensure_index(&mut self) {
-        self.ensure_index_ctl(&CancelToken::new())
-            .expect("an index build with an untripped token cannot be cancelled");
-    }
-
     /// Builds the activation index unless cached. The inversion itself is
     /// not interruptible (it is the cheapest artifact); `cancel` is checked
     /// once at the stage boundary before committing to the build.
-    fn ensure_index_ctl(&mut self, cancel: &CancelToken) -> GrainResult<()> {
+    fn ensure_index(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let key = (
             self.config.kernel.cache_key(),
             self.config.influence_eps.to_bits(),
@@ -884,8 +856,7 @@ impl SelectionEngine {
         fault::point("engine.build.index", Some(cancel));
         cancel.checkpoint()?;
         let rows = &self.rows.as_ref().expect("rows ensured").1;
-        let index =
-            ActivationIndex::build_with_rule_par(rows, self.config.theta, self.config.parallelism);
+        let index = ActivationIndex::build(rows, self.config.theta, self.config.parallelism);
         self.index = Some((key, index));
         self.stats.index_builds += 1;
         Ok(())
@@ -897,11 +868,8 @@ impl SelectionEngine {
             fault::point("engine.build.balls", Some(cancel));
             cancel.checkpoint()?;
             let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let balls = distance::radius_neighbors_par(
-                embedding,
-                self.config.radius,
-                self.config.parallelism,
-            );
+            let balls =
+                distance::radius_neighbors(embedding, self.config.radius, self.config.parallelism);
             let bound = BallDiversity::union_size(&balls, self.graph.num_nodes());
             self.balls = Some((key, (Arc::new(balls), bound)));
             self.stats.diversity_builds += 1;
@@ -914,7 +882,7 @@ impl SelectionEngine {
         if self.nn_dmax.as_ref().map(|(k, _)| k) != Some(&key) {
             cancel.checkpoint()?;
             let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let dmax = distance::max_pairwise_distance_par(
+            let dmax = distance::max_pairwise_distance(
                 embedding,
                 NN_DMAX_EXACT_LIMIT,
                 self.config.parallelism,
@@ -1254,7 +1222,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_bytes_track_residency_and_csr_beats_nested() {
+    fn artifact_bytes_track_residency() {
         let (g, x) = dataset(14);
         let candidates: Vec<u32> = (0..g.num_nodes() as u32).collect();
         let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
@@ -1271,12 +1239,6 @@ mod tests {
         ] {
             assert!(count > 0, "{name} built but reported zero bytes");
         }
-        assert!(
-            bytes.influence_rows < bytes.influence_rows_nested,
-            "CSR layout ({}) must undercut the nested layout ({})",
-            bytes.influence_rows,
-            bytes.influence_rows_nested
-        );
         assert_eq!(bytes.total(), {
             bytes.transition
                 + bytes.propagation

@@ -60,11 +60,14 @@ pub fn prune_candidates(
 mod tests {
     use super::*;
     use grain_graph::{generators, transition_matrix, TransitionKind};
+    use grain_influence::walk::kernel_power_weights;
+    use grain_prop::Kernel;
 
     fn fixtures() -> (Graph, InfluenceRows) {
         let g = generators::barabasi_albert(100, 2, 3);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
-        let rows = InfluenceRows::compute(&t, 2, 0.0);
+        let weights = kernel_power_weights(Kernel::RandomWalk { k: 2 });
+        let rows = InfluenceRows::build(&t, &weights, 0.0, 0, 0, &|| false).unwrap();
         (g, rows)
     }
 

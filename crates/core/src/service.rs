@@ -750,8 +750,10 @@ impl EnginePool {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// The cached `X^(k)` under `kernel` from any resident engine serving
-    /// `graph` at corpus `epoch`, if one holds it *and* is not busy.
+    /// The cached `X^(k)` and power ladder under `kernel` from any resident
+    /// engine serving `graph` at corpus `epoch`, if one holds it *and* is
+    /// not busy. The handles share the sibling's allocations, so the
+    /// donated engine repairs deltas level-locally like a cold-built one.
     /// Engines are keyed by the full artifact fingerprint (kernel, θ, ε,
     /// r), but `X^(k)` depends on the kernel alone — a new engine for
     /// another fingerprint of the same graph **and epoch** seeds from a
@@ -764,7 +766,7 @@ impl EnginePool {
         graph: &str,
         epoch: u64,
         kernel: grain_prop::Kernel,
-    ) -> Option<Arc<DenseMatrix>> {
+    ) -> Option<(Arc<DenseMatrix>, Vec<Arc<DenseMatrix>>)> {
         for shard in &self.shards {
             let candidates: Vec<SharedEngine> = {
                 let shard = lock_shard(shard);
@@ -1040,13 +1042,9 @@ pub struct SelectionReport {
     /// request was answered entirely from warm artifacts.
     pub artifact_builds: EngineStats,
     /// Resident bytes of every artifact class the answering engine holds
-    /// after this request — warm or newly built. The influence-rows
-    /// entry also reports what the retired nested `Vec<Vec<…>>` layout
-    /// would have occupied, so the flat-CSR saving is observable per
-    /// request ([`ArtifactBytes`]).
+    /// after this request — warm or newly built ([`ArtifactBytes`]). Pool
+    /// counters live on [`GrainService::pool_stats`].
     pub artifact_bytes: ArtifactBytes,
-    /// Pool counters after the request.
-    pub pool_stats: PoolStats,
     /// Whether the request ran to completion or degraded to an anytime
     /// prefix under [`OnDeadline::Partial`] — either the last outcome is
     /// itself a cancelled-mid-greedy prefix, or a sweep was truncated
@@ -1504,18 +1502,15 @@ impl GrainService {
             // safe here because build closures run with no shard lock
             // held. Memory beats disk: the store is only consulted for
             // artifacts no sibling holds.
-            let seeded = if let Some(propagated) =
-                self.pool.cached_propagation(graph_id, epoch, config.kernel)
-            {
-                engine.seed_propagated(propagated);
-                true
-            } else {
-                false
+            let seeded = match self.pool.cached_propagation(graph_id, epoch, config.kernel) {
+                Some((value, ladder)) => engine.seed_propagated(value, ladder),
+                None => false,
             };
             if let Some(store) = &self.store {
                 // Every load is best-effort: a miss or a corrupt file
                 // (counted in StoreStats) just means this stage cold
-                // builds, and adopt_* reject shape mismatches. A
+                // builds, and seed/adopt_* reject shape mismatches (a
+                // ladder of the wrong depth included). A
                 // validated hit is adopted bit-identically, so the
                 // engine answers exactly as a cold build would.
                 let addr = ContentAddress {
@@ -1525,7 +1520,7 @@ impl GrainService {
                 };
                 if !seeded {
                     if let Ok(Some((value, ladder))) = store.load_propagation(&addr) {
-                        engine.adopt_propagation(
+                        engine.seed_propagated(
                             Arc::new(value),
                             ladder.into_iter().map(Arc::new).collect(),
                         );
@@ -1683,7 +1678,7 @@ impl GrainService {
                 };
                 let mut pending = Vec::new();
                 if artifact_builds.propagation_builds > 0 {
-                    if let Some((value, ladder)) = engine.persistable_propagation() {
+                    if let Some((value, ladder)) = engine.propagated_if_cached(config.kernel) {
                         let levels: Vec<&DenseMatrix> = ladder.iter().map(Arc::as_ref).collect();
                         pending.push(store.encode_propagation(&addr, &value, &levels));
                     }
@@ -1723,7 +1718,6 @@ impl GrainService {
             pool_event,
             artifact_builds,
             artifact_bytes,
-            pool_stats: self.pool.stats(),
             completion,
         })
     }
@@ -2208,10 +2202,6 @@ mod tests {
             .select(&SelectionRequest::new("a", cfg, Budget::Fixed(5)))
             .unwrap();
         assert!(ra.artifact_bytes.influence_rows > 0);
-        assert!(
-            ra.artifact_bytes.influence_rows < ra.artifact_bytes.influence_rows_nested,
-            "CSR rows must undercut the nested layout"
-        );
         assert!(ra.artifact_bytes.total() > 0);
         assert_eq!(
             service.pool_stats().resident_bytes,
@@ -2225,11 +2215,6 @@ mod tests {
         assert_eq!(
             service.pool_stats().resident_bytes,
             ra.artifact_bytes.total() + rb.artifact_bytes.total()
-        );
-        // The report snapshots the aggregate *after* recording itself.
-        assert_eq!(
-            rb.pool_stats.resident_bytes,
-            service.pool_stats().resident_bytes
         );
         // Dropping every engine zeroes the aggregate.
         service.pool().clear();

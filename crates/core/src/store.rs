@@ -630,8 +630,9 @@ pub(crate) fn mix_fingerprint(old: u64, delta_hash: u64) -> u64 {
 }
 
 /// Whole-file checksum: FNV-1a over u64 words with the length folded in,
-/// so truncation to a word boundary still changes the sum.
-fn checksum64(bytes: &[u8]) -> u64 {
+/// so truncation to a word boundary still changes the sum. The edge
+/// protocol's frame checksum is this function too.
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(bytes.len() as u64);
     h.write(bytes);
@@ -889,7 +890,9 @@ impl Drop for ScratchDir {
 mod tests {
     use super::*;
     use grain_graph::{generators, transition_matrix, TransitionKind};
+    use grain_influence::walk::kernel_power_weights;
     use grain_influence::ThetaRule;
+    use grain_prop::Kernel;
 
     fn addr(epoch: u64) -> ContentAddress {
         ContentAddress {
@@ -903,7 +906,8 @@ mod tests {
     fn sample_rows() -> InfluenceRows {
         let g = generators::erdos_renyi_gnm(40, 100, 7);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
-        InfluenceRows::compute(&t, 2, 1e-4)
+        let weights = kernel_power_weights(Kernel::RandomWalk { k: 2 });
+        InfluenceRows::build(&t, &weights, 1e-4, 0, 0, &|| false).unwrap()
     }
 
     #[test]
@@ -946,8 +950,7 @@ mod tests {
     fn index_round_trip_is_bit_identical() {
         let scratch = ScratchDir::new("store-index");
         let store = ArtifactStore::open(scratch.path()).unwrap();
-        let idx =
-            ActivationIndex::build_with_rule(&sample_rows(), ThetaRule::RelativeToRowMax(0.25));
+        let idx = ActivationIndex::build(&sample_rows(), ThetaRule::RelativeToRowMax(0.25), 1);
         store.save_index(&addr(1), &idx).unwrap();
         let back = store.load_index(&addr(1)).unwrap().expect("present");
         assert_eq!(back.offsets(), idx.offsets());

@@ -422,7 +422,7 @@ impl GrainService {
                         epoch: from_epoch + 1,
                         artifact_fingerprint: key.fingerprint.clone(),
                     };
-                    if let Some((value, ladder)) = next.persistable_propagation() {
+                    if let Some((value, ladder)) = next.propagated_if_cached(next.config().kernel) {
                         let levels: Vec<&grain_linalg::DenseMatrix> =
                             ladder.iter().map(Arc::as_ref).collect();
                         pending.push(store.encode_propagation(&addr, &value, &levels));

@@ -110,13 +110,27 @@ impl<'a> CoverageState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::InfluenceRows;
+    use crate::index::ThetaRule;
+    use crate::walk::{kernel_power_weights, InfluenceRows};
     use grain_graph::{generators, transition_matrix, TransitionKind};
+    use grain_prop::Kernel;
 
     fn index(n: usize, m: usize, seed: u64, theta: f32) -> ActivationIndex {
         let g = generators::erdos_renyi_gnm(n, m, seed);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
-        ActivationIndex::build(&InfluenceRows::compute(&t, 2, 0.0), theta)
+        ActivationIndex::build(
+            &InfluenceRows::build(
+                &t,
+                &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
+                0.0,
+                0,
+                0,
+                &|| false,
+            )
+            .unwrap(),
+            ThetaRule::FixedAbsolute(theta),
+            1,
+        )
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!
 //! ```
 //! use grain_graph::{generators, transition_matrix, TransitionKind};
+//! use grain_influence::walk::kernel_power_weights;
 //! use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
+//! use grain_prop::Kernel;
 //!
 //! let g = generators::erdos_renyi_gnm(60, 180, 5);
 //! let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
@@ -28,13 +30,14 @@
 //! // Normalized influence rows I_v(·, 2) (Eq. 8/9) in flat CSR form:
 //! // each node's influencers carry unit total mass after per-row L1
 //! // normalization.
-//! let rows = InfluenceRows::compute(&t, 2, 1e-4);
+//! let weights = kernel_power_weights(Kernel::RandomWalk { k: 2 });
+//! let rows = InfluenceRows::build(&t, &weights, 1e-4, 0, 0, &|| false).unwrap();
 //! let mass: f32 = rows.row_values(0).iter().sum();
 //! assert!((mass - 1.0).abs() < 1e-4);
 //!
 //! // Inverted into the activation index act[u] = {v : I_v(u, 2) > θ}
 //! // (Definition 3.2), |σ(S)| becomes an incremental coverage count.
-//! let index = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.25));
+//! let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 0);
 //! let sigma = index.sigma(&[0, 1]);
 //! assert!(sigma.len() >= index.sigma(&[0]).len(), "coverage is monotone");
 //! ```

@@ -18,14 +18,15 @@
 //! greedy hot loops as two contiguous arrays. At `n` nodes and `nnz`
 //! stored entries the artifact occupies `8·(n+1) + 8·nnz` bytes
 //! ([`InfluenceRows::resident_bytes`], exact) versus `24·n + 8·nnz` for
-//! the retired nested layout ([`InfluenceRows::nested_layout_bytes`]) —
-//! strictly smaller for every non-empty graph. Parallel builds write
+//! a nested layout — strictly smaller for every non-empty graph. Parallel
+//! builds write
 //! per-worker flat chunks for contiguous row ranges and stitch them in
 //! rank order, so the layout is bit-identical at any thread count.
 //!
 //! # Row truncation
 //!
-//! Builders accept an optional `top_k` (0 = off): each row keeps only its
+//! [`InfluenceRows::build`] takes an optional `top_k` (0 = off): each row
+//! keeps only its
 //! `top_k` heaviest entries (ties broken toward the smaller column id)
 //! **before** Eq. 8 normalization, bounding `nnz` by `top_k · n` on
 //! hub-heavy graphs where ε-pruning alone is not enough. Truncation
@@ -202,123 +203,30 @@ pub struct InfluenceRows {
 }
 
 impl InfluenceRows {
-    /// Computes `I_v(·, k)` for every `v`, pruning entries `< eps` between
-    /// steps.
+    /// Computes the normalized influence rows of `Σ_l weights[l] · T^l`
+    /// for every node — the one builder. Callers wanting the exact
+    /// Jacobian of a Table 1 kernel (Definition 3.1) pass
+    /// `&kernel_power_weights(kernel)`.
     ///
-    /// # Panics
-    /// Panics if `t` is not square.
-    pub fn compute(t: &CsrMatrix, k: usize, eps: f32) -> Self {
-        let mut weights = vec![0.0; k + 1];
-        weights[k] = 1.0;
-        Self::compute_weighted(t, &weights, eps)
-    }
-
-    /// Influence rows under the exact Jacobian of `kernel` (Definition 3.1):
-    /// a `c_l`-weighted sum of walk powers per [`kernel_power_weights`].
-    pub fn for_kernel(t: &CsrMatrix, kernel: Kernel, eps: f32) -> Self {
-        Self::compute_weighted(t, &kernel_power_weights(kernel), eps)
-    }
-
-    /// [`InfluenceRows::for_kernel`] over `threads` workers (`0` = auto).
-    pub fn for_kernel_par(t: &CsrMatrix, kernel: Kernel, eps: f32, threads: usize) -> Self {
-        Self::compute_weighted_par(t, &kernel_power_weights(kernel), eps, threads)
-    }
-
-    /// [`InfluenceRows::for_kernel_par`] with a cooperative stop probe
-    /// (see [`InfluenceRows::compute_weighted_topk_ctl`]).
-    pub fn for_kernel_ctl(
-        t: &CsrMatrix,
-        kernel: Kernel,
-        eps: f32,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Self> {
-        Self::compute_weighted_topk_ctl(
-            t,
-            &kernel_power_weights(kernel),
-            eps,
-            0,
-            threads,
-            should_stop,
-        )
-    }
-
-    /// [`InfluenceRows::for_kernel_ctl`] with per-row truncation to the
-    /// `top_k` heaviest entries (`0` = off; see the module docs).
-    pub fn for_kernel_topk_ctl(
-        t: &CsrMatrix,
-        kernel: Kernel,
-        eps: f32,
-        top_k: usize,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Self> {
-        Self::compute_weighted_topk_ctl(
-            t,
-            &kernel_power_weights(kernel),
-            eps,
-            top_k,
-            threads,
-            should_stop,
-        )
-    }
-
-    /// Computes normalized rows of `Σ_l weights[l] · T^l`, pruning frontier
-    /// entries `< eps` between steps.
+    /// Frontier entries `< eps` are pruned between walk steps. When
+    /// `top_k > 0`, each row keeps only its `top_k` heaviest entries (ties
+    /// toward the smaller column id) **before** Eq. 8 normalization.
+    ///
+    /// Rows are built over `threads` workers (`0` = auto): every row `v` is
+    /// scatter-gathered start to finish by exactly one worker with
+    /// thread-local scratch, and each worker's flat chunk is stitched into
+    /// the CSR in rank (= row) order, so the rows are bit-identical at any
+    /// thread count.
+    ///
+    /// `should_stop` is a cooperative stop probe polled by every worker
+    /// once per **block of rows** (each row is a full scatter-gather walk —
+    /// the natural unit of work). Returns `None` as soon as any worker
+    /// observes it; the partially filled chunks are discarded, never
+    /// stitched, so a cancelled build cannot tear the artifact.
     ///
     /// # Panics
     /// Panics if `t` is not square or `weights` is empty.
-    pub fn compute_weighted(t: &CsrMatrix, weights: &[f32], eps: f32) -> Self {
-        Self::compute_weighted_par(t, weights, eps, 0)
-    }
-
-    /// [`InfluenceRows::compute_weighted`] over `threads` workers
-    /// (`0` = auto). Every row `v` is scatter-gathered start to finish by
-    /// exactly one worker with thread-local scratch, and each worker's flat
-    /// chunk is stitched into the CSR in rank (= row) order, so the rows
-    /// are bit-identical at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `t` is not square or `weights` is empty.
-    pub fn compute_weighted_par(t: &CsrMatrix, weights: &[f32], eps: f32, threads: usize) -> Self {
-        Self::compute_weighted_topk_ctl(t, weights, eps, 0, threads, &|| false)
-            .expect("influence rows with a never-stopping probe cannot be cancelled")
-    }
-
-    /// [`InfluenceRows::compute_weighted_par`] with per-row truncation to
-    /// the `top_k` heaviest entries (`0` = off).
-    pub fn compute_weighted_topk(t: &CsrMatrix, weights: &[f32], eps: f32, top_k: usize) -> Self {
-        Self::compute_weighted_topk_ctl(t, weights, eps, top_k, 0, &|| false)
-            .expect("influence rows with a never-stopping probe cannot be cancelled")
-    }
-
-    /// [`InfluenceRows::compute_weighted_par`] with a cooperative stop
-    /// probe (see [`InfluenceRows::compute_weighted_topk_ctl`]).
-    pub fn compute_weighted_ctl(
-        t: &CsrMatrix,
-        weights: &[f32],
-        eps: f32,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Self> {
-        Self::compute_weighted_topk_ctl(t, weights, eps, 0, threads, should_stop)
-    }
-
-    /// The fully general builder: weighted walk powers, ε-pruning, optional
-    /// `top_k` row truncation, explicit worker count, and a cooperative
-    /// stop probe polled by every worker once per **block of rows** (each
-    /// row is a full scatter-gather walk — the natural unit of work).
-    /// Returns `None` as soon as any worker observes the probe; the
-    /// partially filled chunks are discarded, never stitched, so a
-    /// cancelled build cannot tear the artifact. A probe that always
-    /// returns `false` is bit-identical to the uncancellable builders.
-    ///
-    /// When `top_k > 0`, each row keeps only its `top_k` heaviest entries
-    /// (ties toward the smaller column id) **before** Eq. 8 normalization.
-    ///
-    /// # Panics
-    /// Panics if `t` is not square or `weights` is empty.
-    pub fn compute_weighted_topk_ctl(
+    pub fn build(
         t: &CsrMatrix,
         weights: &[f32],
         eps: f32,
@@ -519,15 +427,6 @@ impl InfluenceRows {
             + self.vals.len() * std::mem::size_of::<f32>()
     }
 
-    /// Heap bytes the same rows would occupy in the retired
-    /// `Vec<Vec<(u32, f32)>>` layout: one 24-byte `Vec` header per node
-    /// plus 8 bytes per entry — the cost model the CSR layout is measured
-    /// against (strictly larger for every non-empty graph).
-    pub fn nested_layout_bytes(&self) -> usize {
-        self.num_nodes() * std::mem::size_of::<Vec<(u32, f32)>>()
-            + self.nnz() * std::mem::size_of::<(u32, f32)>()
-    }
-
     /// Column-sum of influence mass received *from* each node `u`
     /// (Σ_v I_v(u, k)) — the "walk mass" used by Sec-3.4 candidate pruning.
     pub fn walk_mass(&self) -> Vec<f32> {
@@ -545,8 +444,8 @@ impl InfluenceRows {
     /// The dirty rows run through the same `walk_row` routine the cold
     /// builders use — same scatter/gather order, same ε-pruning, same
     /// `top_k` truncation and L1 normalization — so a row rebuilt here is
-    /// byte-identical to the row a cold
-    /// [`InfluenceRows::for_kernel_topk_ctl`] over `t` would produce.
+    /// byte-identical to the row a cold [`InfluenceRows::build`] over `t`
+    /// would produce.
     /// Clean rows are `memcpy`d from `self`, which is valid whenever
     /// `dirty` is a superset of the rows whose ε-pruned walk neighborhoods
     /// changed.
@@ -639,6 +538,22 @@ mod tests {
         transition_matrix(g, TransitionKind::RandomWalk, true)
     }
 
+    /// Pure `k`-step walk weights: only `T^k` contributes.
+    fn walk(k: usize) -> Vec<f32> {
+        kernel_power_weights(Kernel::RandomWalk { k })
+    }
+
+    /// [`InfluenceRows::build`] with a probe that never fires.
+    fn rows(
+        t: &CsrMatrix,
+        weights: &[f32],
+        eps: f32,
+        top_k: usize,
+        threads: usize,
+    ) -> InfluenceRows {
+        InfluenceRows::build(t, weights, eps, top_k, threads, &|| false).unwrap()
+    }
+
     /// The retired nested builder, kept as the serial reference the flat
     /// CSR is property-tested against: same per-row walk, same float
     /// order, rows materialized as `Vec<Vec<(u32, f32)>>`.
@@ -728,7 +643,7 @@ mod tests {
     #[test]
     fn rows_are_normalized_probability_distributions() {
         let g = generators::erdos_renyi_gnm(40, 100, 2);
-        let rows = InfluenceRows::compute(&rw(&g), 2, 0.0);
+        let rows = rows(&rw(&g), &walk(2), 0.0, 0, 0);
         for v in 0..40 {
             let sum: f32 = rows.row_values(v).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {v} sums to {sum}");
@@ -741,7 +656,7 @@ mod tests {
         // Path 0-1-2 with self-loops: from node 0, one step gives
         // 1/2 to 0 and 1/2 to 1.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let rows = InfluenceRows::compute(&rw(&g), 1, 0.0);
+        let rows = rows(&rw(&g), &walk(1), 0.0, 0, 0);
         assert!((rows.influence(0, 0) - 0.5).abs() < 1e-6);
         assert!((rows.influence(0, 1) - 0.5).abs() < 1e-6);
         assert_eq!(rows.influence(0, 2), 0.0);
@@ -750,7 +665,7 @@ mod tests {
     #[test]
     fn two_steps_reach_two_hops() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let rows = InfluenceRows::compute(&rw(&g), 2, 0.0);
+        let rows = rows(&rw(&g), &walk(2), 0.0, 0, 0);
         // 0 -> 1 -> 2 path exists: I_0(2, 2) = 1/2 * 1/3 = 1/6.
         assert!((rows.influence(0, 2) - 1.0 / 6.0).abs() < 1e-6);
     }
@@ -758,8 +673,8 @@ mod tests {
     #[test]
     fn pruning_keeps_rows_sparse_but_normalized() {
         let g = generators::barabasi_albert(300, 3, 7);
-        let exact = InfluenceRows::compute(&rw(&g), 2, 0.0);
-        let pruned = InfluenceRows::compute(&rw(&g), 2, 0.01);
+        let exact = rows(&rw(&g), &walk(2), 0.0, 0, 0);
+        let pruned = rows(&rw(&g), &walk(2), 0.01, 0, 0);
         assert!(pruned.nnz() < exact.nnz());
         for v in 0..300 {
             let sum: f32 = pruned.row_values(v).iter().sum();
@@ -770,7 +685,7 @@ mod tests {
     #[test]
     fn set_influence_takes_max() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let rows = InfluenceRows::compute(&rw(&g), 1, 0.0);
+        let rows = rows(&rw(&g), &walk(1), 0.0, 0, 0);
         let s = [0u32, 2u32];
         let direct = rows.set_influence(1, &s);
         assert!((direct - rows.influence(1, 0).max(rows.influence(1, 2))).abs() < 1e-7);
@@ -779,7 +694,7 @@ mod tests {
     #[test]
     fn walk_mass_sums_to_total_mass() {
         let g = generators::erdos_renyi_gnm(25, 50, 3);
-        let rows = InfluenceRows::compute(&rw(&g), 2, 0.0);
+        let rows = rows(&rw(&g), &walk(2), 0.0, 0, 0);
         let mass: f32 = rows.walk_mass().iter().sum();
         assert!((mass - 25.0).abs() < 1e-3);
     }
@@ -787,7 +702,7 @@ mod tests {
     #[test]
     fn isolated_node_influences_only_itself() {
         let g = Graph::from_edges(3, &[(0, 1)]);
-        let rows = InfluenceRows::compute(&rw(&g), 2, 0.0);
+        let rows = rows(&rw(&g), &walk(2), 0.0, 0, 0);
         assert_eq!(rows.row(2), (&[2u32][..], &[1.0f32][..]));
     }
 
@@ -818,8 +733,14 @@ mod tests {
         // PPR's α-weighted identity keeps mass on the source even at k=2.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let t = rw(&g);
-        let ppr = InfluenceRows::for_kernel(&t, grain_prop::Kernel::Ppr { k: 2, alpha: 0.5 }, 0.0);
-        let plain = InfluenceRows::for_kernel(&t, grain_prop::Kernel::RandomWalk { k: 2 }, 0.0);
+        let ppr = rows(
+            &t,
+            &kernel_power_weights(Kernel::Ppr { k: 2, alpha: 0.5 }),
+            0.0,
+            0,
+            0,
+        );
+        let plain = rows(&t, &walk(2), 0.0, 0, 0);
         assert!(ppr.influence(0, 0) > plain.influence(0, 0));
         // Both stay normalized distributions.
         let sum: f32 = ppr.row_values(0).iter().sum();
@@ -830,8 +751,8 @@ mod tests {
     fn compute_matches_for_kernel_on_plain_walk() {
         let g = generators::erdos_renyi_gnm(30, 70, 12);
         let t = rw(&g);
-        let a = InfluenceRows::compute(&t, 2, 0.0);
-        let b = InfluenceRows::for_kernel(&t, grain_prop::Kernel::RandomWalk { k: 2 }, 0.0);
+        let a = rows(&t, &[0.0, 0.0, 1.0], 0.0, 0, 0);
+        let b = rows(&t, &walk(2), 0.0, 0, 0);
         for v in 0..30 {
             assert_eq!(a.row(v), b.row(v));
         }
@@ -841,8 +762,8 @@ mod tests {
     fn deterministic_across_thread_counts() {
         let g = generators::erdos_renyi_gnm(60, 150, 4);
         let t = rw(&g);
-        let a = InfluenceRows::compute(&t, 2, 1e-4);
-        let b = InfluenceRows::compute(&t, 2, 1e-4);
+        let a = rows(&t, &walk(2), 1e-4, 0, 0);
+        let b = rows(&t, &walk(2), 1e-4, 0, 0);
         for v in 0..60 {
             assert_eq!(a.row(v), b.row(v));
         }
@@ -852,14 +773,21 @@ mod tests {
     fn ctl_probe_false_is_bit_identical_and_true_cancels() {
         let g = generators::barabasi_albert(200, 3, 11);
         let t = rw(&g);
-        let kernel = Kernel::Ppr { k: 2, alpha: 0.15 };
-        let plain = InfluenceRows::for_kernel_par(&t, kernel, 1e-4, 2);
-        let ctl = InfluenceRows::for_kernel_ctl(&t, kernel, 1e-4, 2, &|| false).unwrap();
+        let weights = kernel_power_weights(Kernel::Ppr { k: 2, alpha: 0.15 });
+        let plain = rows(&t, &weights, 1e-4, 0, 2);
+        // A probe that is polled but never fires changes no bit.
+        let polls = std::sync::atomic::AtomicUsize::new(0);
+        let probe = || {
+            polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            false
+        };
+        let polled = InfluenceRows::build(&t, &weights, 1e-4, 0, 2, &probe).unwrap();
+        assert!(polls.into_inner() > 0, "the probe is polled");
         for v in 0..200 {
-            assert_eq!(plain.row(v), ctl.row(v), "row {v}");
+            assert_eq!(plain.row(v), polled.row(v), "row {v}");
         }
         assert!(
-            InfluenceRows::for_kernel_ctl(&t, kernel, 1e-4, 2, &|| true).is_none(),
+            InfluenceRows::build(&t, &weights, 1e-4, 0, 2, &|| true).is_none(),
             "a tripped probe yields no (partial) artifact"
         );
     }
@@ -868,10 +796,10 @@ mod tests {
     fn explicit_thread_counts_are_bit_identical() {
         let g = generators::barabasi_albert(250, 3, 17);
         let t = rw(&g);
-        let serial = InfluenceRows::for_kernel_par(&t, Kernel::Ppr { k: 2, alpha: 0.15 }, 1e-4, 1);
+        let weights = kernel_power_weights(Kernel::Ppr { k: 2, alpha: 0.15 });
+        let serial = rows(&t, &weights, 1e-4, 0, 1);
         for threads in [2usize, 8] {
-            let par =
-                InfluenceRows::for_kernel_par(&t, Kernel::Ppr { k: 2, alpha: 0.15 }, 1e-4, threads);
+            let par = rows(&t, &weights, 1e-4, 0, threads);
             for v in 0..250 {
                 assert_eq!(par.row(v), serial.row(v), "row {v} at {threads} threads");
             }
@@ -886,15 +814,7 @@ mod tests {
             let weights = kernel_power_weights(Kernel::Ppr { k: 2, alpha: 0.15 });
             let nested = reference_nested(&t, &weights, eps, 0);
             for threads in [1usize, 2, 8] {
-                let csr = InfluenceRows::compute_weighted_topk_ctl(
-                    &t,
-                    &weights,
-                    eps,
-                    0,
-                    threads,
-                    &|| false,
-                )
-                .unwrap();
+                let csr = rows(&t, &weights, eps, 0, threads);
                 assert_matches_nested(&csr, &nested);
             }
         }
@@ -906,7 +826,7 @@ mod tests {
         // spreads equal mass over the leaves — a pure tie, so truncation
         // must keep the smallest column ids.
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let rows = InfluenceRows::compute_weighted_topk(&rw(&g), &[0.0, 1.0], 0.0, 3);
+        let rows = rows(&rw(&g), &[0.0, 1.0], 0.0, 3, 0);
         assert_eq!(rows.row_indices(0), &[0, 1, 2]);
         let sum: f32 = rows.row_values(0).iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "truncated row renormalizes");
@@ -920,15 +840,7 @@ mod tests {
         for top_k in [1usize, 4, 16] {
             let nested = reference_nested(&t, &weights, 0.0, top_k);
             for threads in [1usize, 3, 8] {
-                let csr = InfluenceRows::compute_weighted_topk_ctl(
-                    &t,
-                    &weights,
-                    0.0,
-                    top_k,
-                    threads,
-                    &|| false,
-                )
-                .unwrap();
+                let csr = rows(&t, &weights, 0.0, top_k, threads);
                 assert_matches_nested(&csr, &nested);
                 for v in 0..200 {
                     assert!(csr.row_nnz(v) <= top_k, "row {v} exceeds top_k={top_k}");
@@ -941,9 +853,9 @@ mod tests {
     fn top_k_zero_and_oversized_top_k_change_nothing() {
         let g = generators::barabasi_albert(150, 3, 13);
         let t = rw(&g);
-        let plain = InfluenceRows::compute(&t, 2, 1e-4);
-        let zero = InfluenceRows::compute_weighted_topk(&t, &[0.0, 0.0, 1.0], 1e-4, 0);
-        let huge = InfluenceRows::compute_weighted_topk(&t, &[0.0, 0.0, 1.0], 1e-4, 10_000);
+        let plain = rows(&t, &walk(2), 1e-4, 0, 0);
+        let zero = rows(&t, &[0.0, 0.0, 1.0], 1e-4, 0, 0);
+        let huge = rows(&t, &[0.0, 0.0, 1.0], 1e-4, 10_000, 0);
         for v in 0..150 {
             assert_eq!(plain.row(v), zero.row(v), "row {v} (top_k = 0)");
             assert_eq!(plain.row(v), huge.row(v), "row {v} (oversized top_k)");
@@ -954,8 +866,8 @@ mod tests {
     fn truncation_bounds_nnz_and_resident_bytes() {
         let g = generators::barabasi_albert(400, 5, 3);
         let t = rw(&g);
-        let full = InfluenceRows::compute(&t, 2, 0.0);
-        let cut = InfluenceRows::compute_weighted_topk(&t, &[0.0, 0.0, 1.0], 0.0, 8);
+        let full = rows(&t, &walk(2), 0.0, 0, 0);
+        let cut = rows(&t, &[0.0, 0.0, 1.0], 0.0, 8, 0);
         assert!(cut.nnz() <= 8 * 400);
         assert!(cut.nnz() < full.nnz());
         assert!(cut.resident_bytes() < full.resident_bytes());
@@ -964,16 +876,20 @@ mod tests {
     #[test]
     fn csr_resident_bytes_strictly_below_nested_layout() {
         let g = generators::erdos_renyi_gnm(100, 300, 21);
-        let rows = InfluenceRows::compute(&rw(&g), 2, 1e-4);
+        let t = rw(&g);
+        let rows = rows(&t, &walk(2), 1e-4, 0, 0);
         assert_eq!(
             rows.resident_bytes(),
             8 * (rows.num_nodes() + 1) + 8 * rows.nnz()
         );
-        assert_eq!(
-            rows.nested_layout_bytes(),
-            24 * rows.num_nodes() + 8 * rows.nnz()
-        );
-        assert!(rows.resident_bytes() < rows.nested_layout_bytes());
+        // The same rows held by the nested reference builder.
+        let nested = reference_nested(&t, &walk(2), 1e-4, 0);
+        let nested_bytes: usize = nested
+            .iter()
+            .map(|r| std::mem::size_of::<Vec<(u32, f32)>>() + std::mem::size_of_val(&r[..]))
+            .sum();
+        assert_eq!(nested_bytes, 24 * rows.num_nodes() + 8 * rows.nnz());
+        assert!(rows.resident_bytes() < nested_bytes);
     }
 
     /// Splice-rebuilding the dirty rows after an edge edit must reproduce
@@ -1003,16 +919,8 @@ mod tests {
                 let t_new = transition_matrix(&g2, kind, true);
                 let dirty = grain_graph::k_hop_ball(&g2, &endpoints, depth + 1);
                 for top_k in [0usize, 4] {
-                    let old =
-                        InfluenceRows::for_kernel_topk_ctl(&t_old, kernel, 1e-4, top_k, 1, &|| {
-                            false
-                        })
-                        .expect("cold old build");
-                    let cold =
-                        InfluenceRows::for_kernel_topk_ctl(&t_new, kernel, 1e-4, top_k, 1, &|| {
-                            false
-                        })
-                        .expect("cold new build");
+                    let old = rows(&t_old, &kernel_power_weights(kernel), 1e-4, top_k, 1);
+                    let cold = rows(&t_new, &kernel_power_weights(kernel), 1e-4, top_k, 1);
                     let patched = old.with_rebuilt_rows(&t_new, kernel, 1e-4, top_k, &dirty);
                     assert_eq!(patched.offsets, cold.offsets, "{kernel:?}/{kind:?}/{top_k}");
                     assert_eq!(patched.cols, cold.cols, "{kernel:?}/{kind:?}/{top_k}");
@@ -1032,7 +940,7 @@ mod tests {
     fn rebuilt_rows_with_empty_dirty_set_is_identity() {
         let g = generators::barabasi_albert(120, 3, 5);
         let t = rw(&g);
-        let rows = InfluenceRows::compute(&t, 2, 1e-4);
+        let rows = rows(&t, &walk(2), 1e-4, 0, 0);
         let same = rows.with_rebuilt_rows(&t, Kernel::RandomWalk { k: 2 }, 1e-4, 0, &[]);
         assert_eq!(rows.offsets, same.offsets);
         assert_eq!(rows.cols, same.cols);
@@ -1044,7 +952,7 @@ mod tests {
     fn rebuilt_rows_rejects_depth_mismatch() {
         let g = generators::erdos_renyi_gnm(40, 80, 2);
         let t = rw(&g);
-        let rows = InfluenceRows::compute(&t, 2, 1e-4);
+        let rows = rows(&t, &walk(2), 1e-4, 0, 0);
         let _ = rows.with_rebuilt_rows(&t, Kernel::RandomWalk { k: 3 }, 1e-4, 0, &[1]);
     }
 }

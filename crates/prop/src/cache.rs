@@ -10,17 +10,16 @@
 //! without borrowing and hand out shared `X^(k)` views without copying.
 
 use crate::kernel::Kernel;
-use crate::propagate::propagate_ladder_with_ctl;
+use crate::propagate::{propagate_with, repropagate_rows_laddered};
 use grain_graph::{transition_matrix, CsrMatrix, Graph};
 use grain_linalg::DenseMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One kernel's cached propagation: the final `X^(k)` plus the power
-/// ladder (intermediate step states, see
-/// [`crate::propagate::propagate_ladder_with_ctl`]) that keeps delta
-/// repair output-proportional. Seeded entries carry an empty ladder and
-/// fall back to reverse-cone repair.
+/// ladder (intermediate step states, see [`crate::propagate_with`]) that
+/// keeps delta repair output-proportional. Every entry carries a complete
+/// ladder (`kernel.steps() - 1` levels), however it got here.
 struct CachedKernel {
     value: Arc<DenseMatrix>,
     ladder: Vec<Arc<DenseMatrix>>,
@@ -61,53 +60,32 @@ impl PropagationCache {
     /// The propagated embedding for `kernel`, computed on first use.
     /// The returned handle shares the cached allocation.
     pub fn get(&mut self, kernel: Kernel) -> Arc<DenseMatrix> {
-        if !self.cache.contains_key(&kernel.cache_key()) {
-            let t = transition_matrix(&self.graph, kernel.transition_kind(), true);
-            return self.get_with(kernel, &t);
+        if let Some(value) = self.get_cached(kernel) {
+            return value;
         }
-        Arc::clone(&self.cache[&kernel.cache_key()].value)
+        let t = transition_matrix(&self.graph, kernel.transition_kind(), true);
+        self.get_with(kernel, &t, 0, &|| false)
+            .expect("propagation with a never-stopping probe cannot be cancelled")
     }
 
     /// Like [`PropagationCache::get`], but propagates over a prebuilt
     /// transition matrix on a miss — callers that already hold `T` (the
     /// selection engine caches it for the influence rows) avoid rebuilding
-    /// it here.
+    /// it here — over `threads` workers (`0` = auto). Because propagation
+    /// is bit-identical at any thread count (see [`crate::propagate_with`]),
+    /// the cached artifact does not depend on the thread count it was
+    /// built with, which is why a serving parallelism knob can be excluded
+    /// from engine cache keys.
+    ///
+    /// `should_stop` is a cooperative stop probe: a cache miss whose build
+    /// observes it returns `None` and caches **nothing** — the next request
+    /// for this kernel starts a fresh, complete build, so cancellation can
+    /// never tear an artifact. Cache hits ignore the probe entirely (the
+    /// work is already done; handing it out is free).
     ///
     /// # Panics
     /// Panics if `transition` does not match the cached graph's node count.
-    pub fn get_with(&mut self, kernel: Kernel, transition: &CsrMatrix) -> Arc<DenseMatrix> {
-        self.get_with_par(kernel, transition, 0)
-    }
-
-    /// [`PropagationCache::get_with`] propagating over `threads` workers
-    /// on a miss (`0` = auto). Because propagation is bit-identical at
-    /// any thread count (see [`crate::propagate_with_par`]), the cached artifact
-    /// does not depend on the thread count it was built with — which is
-    /// why a serving parallelism knob can be excluded from engine cache
-    /// keys.
-    ///
-    /// # Panics
-    /// Panics if `transition` does not match the cached graph's node count.
-    pub fn get_with_par(
-        &mut self,
-        kernel: Kernel,
-        transition: &CsrMatrix,
-        threads: usize,
-    ) -> Arc<DenseMatrix> {
-        self.get_with_ctl(kernel, transition, threads, &|| false)
-            .expect("propagation with a never-stopping probe cannot be cancelled")
-    }
-
-    /// [`PropagationCache::get_with_par`] with a cooperative stop probe
-    /// (see [`crate::propagate::propagate_with_ctl`]): a cache miss whose build observes
-    /// the probe returns `None` and caches **nothing** — the next request
-    /// for this kernel starts a fresh, complete build, so cancellation
-    /// can never tear an artifact. Cache hits ignore the probe entirely
-    /// (the work is already done; handing it out is free).
-    ///
-    /// # Panics
-    /// Panics if `transition` does not match the cached graph's node count.
-    pub fn get_with_ctl(
+    pub fn get_with(
         &mut self,
         kernel: Kernel,
         transition: &CsrMatrix,
@@ -116,12 +94,14 @@ impl PropagationCache {
     ) -> Option<Arc<DenseMatrix>> {
         let key = kernel.cache_key();
         if !self.cache.contains_key(&key) {
-            let (value, ladder) = propagate_ladder_with_ctl(
+            let mut ladder = Vec::new();
+            let value = propagate_with(
                 transition,
                 kernel,
                 &self.features,
                 threads,
                 should_stop,
+                Some(&mut ladder),
             )?;
             self.cache.insert(
                 key.clone(),
@@ -136,20 +116,12 @@ impl PropagationCache {
 
     /// Incrementally patches `X^(k)` for `kernel` after a graph/feature
     /// delta: recomputes only the `dirty` rows against `transition` (the
-    /// **edited** graph's transition matrix), splices them into a copy
-    /// of `old` (the pre-delta artifact), caches the patched matrix under
-    /// the kernel's key, and returns it.
-    ///
-    /// `old_ladder` is the donor engine's power ladder for this kernel
-    /// ([`PropagationCache::cached_ladder`]). When complete (`k - 1`
-    /// levels, the invariant every non-seeded cache entry holds), repair
-    /// runs level-local via
-    /// [`crate::propagate::repropagate_rows_laddered`] — `O(k · |dirty|)`
-    /// rows of SpMM — and the patched ladder is cached here so the next
-    /// delta repairs just as cheaply. A missing/incomplete ladder (seeded
-    /// artifacts) falls back to the reverse-cone
-    /// [`crate::propagate::repropagate_rows`], which needs no
-    /// intermediate state but expands over clean neighbors.
+    /// **edited** graph's transition matrix) level by level via
+    /// [`crate::propagate::repropagate_rows_laddered`], splices them into
+    /// copies of `old` (the pre-delta artifact) and `old_ladder` (its power
+    /// ladder, [`PropagationCache::cached_ladder`]), caches both under the
+    /// kernel's key, and returns the patched matrix. The patched ladder is
+    /// what lets the *next* delta repair just as cheaply.
     ///
     /// The cache must already be over the post-delta corpus — its
     /// `features` are the new `X^(0)`. Bit-identity contract: given a
@@ -158,9 +130,10 @@ impl PropagationCache {
     /// byte-identical to a cold build over the edited corpus.
     ///
     /// # Panics
-    /// Panics on shape mismatches or an unsorted/out-of-range `dirty`
-    /// list (see [`crate::propagate::repropagate_rows`]).
-    pub fn repropagate_rows(
+    /// Panics on shape mismatches, a ladder of the wrong depth, or an
+    /// unsorted/out-of-range `dirty` list (see
+    /// [`crate::propagate::repropagate_rows_laddered`]).
+    pub fn repropagate_rows_laddered(
         &mut self,
         kernel: Kernel,
         transition: &CsrMatrix,
@@ -168,92 +141,47 @@ impl PropagationCache {
         old_ladder: &[Arc<DenseMatrix>],
         dirty: &[u32],
     ) -> Arc<DenseMatrix> {
-        let entry = if old_ladder.len() == kernel.steps().saturating_sub(1) {
-            let refs: Vec<&DenseMatrix> = old_ladder.iter().map(|l| l.as_ref()).collect();
-            let (patched, ladder) = crate::propagate::repropagate_rows_laddered(
-                transition,
-                kernel,
-                &self.features,
-                old,
-                &refs,
-                dirty,
-            );
-            CachedKernel {
-                value: Arc::new(patched),
-                ladder: ladder.into_iter().map(Arc::new).collect(),
-            }
-        } else {
-            let patched =
-                crate::propagate::repropagate_rows(transition, kernel, &self.features, old, dirty);
-            CachedKernel {
-                value: Arc::new(patched),
-                ladder: Vec::new(),
-            }
-        };
-        let value = Arc::clone(&entry.value);
-        self.cache.insert(kernel.cache_key(), entry);
-        value
-    }
-
-    /// Inserts a precomputed `X^(k)` for `kernel`, sharing the allocation.
-    /// A caller that already holds the artifact (e.g. a pooled engine
-    /// handing its propagation to a private companion cache) seeds it here
-    /// so the kernel never re-propagates. Seeded entries carry no power
-    /// ladder, so a later delta repair on this cache takes the
-    /// reverse-cone path.
-    ///
-    /// # Panics
-    /// Panics if `value` does not have one row per graph node.
-    pub fn seed(&mut self, kernel: Kernel, value: Arc<DenseMatrix>) {
-        assert_eq!(
-            value.rows(),
-            self.graph.num_nodes(),
-            "seeded rows ({}) must match node count ({})",
-            value.rows(),
-            self.graph.num_nodes()
-        );
+        let refs: Vec<&DenseMatrix> = old_ladder.iter().map(|l| l.as_ref()).collect();
+        let (patched, ladder) =
+            repropagate_rows_laddered(transition, kernel, &self.features, old, &refs, dirty);
+        let value = Arc::new(patched);
         self.cache.insert(
             kernel.cache_key(),
             CachedKernel {
-                value,
-                ladder: Vec::new(),
+                value: Arc::clone(&value),
+                ladder: ladder.into_iter().map(Arc::new).collect(),
             },
         );
+        value
     }
 
-    /// [`PropagationCache::seed`] carrying the power ladder alongside the
-    /// final `X^(k)` — the adoption path for artifacts deserialized from
-    /// the on-disk store, which persists the ladder so a store-loaded
-    /// engine repairs deltas as cheaply as a cold-built one. A ladder of
-    /// the wrong depth (anything but `kernel.steps() - 1` levels) is
-    /// discarded and the entry seeded ladder-free, preserving the
-    /// reverse-cone fallback instead of corrupting level-local repair.
-    /// Mis-shaped ladder levels are discarded the same way.
+    /// Inserts a precomputed `X^(k)` and its power ladder for `kernel`,
+    /// sharing the allocations — the adoption path for a sibling engine's
+    /// artifact (a pooled engine handing its propagation to a companion)
+    /// and for artifacts deserialized from the on-disk store, so the
+    /// kernel never re-propagates and a later delta repairs as cheaply as
+    /// after a cold build.
     ///
-    /// # Panics
-    /// Panics if `value` does not have one row per graph node.
-    pub fn seed_with_ladder(
+    /// Returns `false` and caches nothing if the artifact does not fit
+    /// this cache: `value` or a ladder level without one row per graph
+    /// node and one column per feature, or a ladder of the wrong depth
+    /// (anything but `kernel.steps() - 1` levels). The caller then builds
+    /// cold, as on any other miss.
+    pub fn seed(
         &mut self,
         kernel: Kernel,
         value: Arc<DenseMatrix>,
         ladder: Vec<Arc<DenseMatrix>>,
-    ) {
-        assert_eq!(
-            value.rows(),
-            self.graph.num_nodes(),
-            "seeded rows ({}) must match node count ({})",
-            value.rows(),
-            self.graph.num_nodes()
-        );
-        let complete = ladder.len() == kernel.steps().saturating_sub(1)
-            && ladder.iter().all(|l| l.rows() == self.graph.num_nodes());
-        self.cache.insert(
-            kernel.cache_key(),
-            CachedKernel {
-                value,
-                ladder: if complete { ladder } else { Vec::new() },
-            },
-        );
+    ) -> bool {
+        let shape = self.features.shape();
+        let fits = value.shape() == shape
+            && ladder.len() == kernel.steps().saturating_sub(1)
+            && ladder.iter().all(|l| l.shape() == shape);
+        if fits {
+            self.cache
+                .insert(kernel.cache_key(), CachedKernel { value, ladder });
+        }
+        fits
     }
 
     /// The cached `X^(k)` for `kernel` if it has already been propagated
@@ -264,8 +192,8 @@ impl PropagationCache {
             .map(|c| Arc::clone(&c.value))
     }
 
-    /// The cached power ladder for `kernel` — empty for misses, seeded
-    /// entries, and `k <= 1` kernels (which need no intermediate state).
+    /// The cached power ladder for `kernel` — empty for misses and
+    /// `k <= 1` kernels (which need no intermediate state).
     /// Handles share the cached allocations.
     pub fn cached_ladder(&self, kernel: Kernel) -> Vec<Arc<DenseMatrix>> {
         self.cache
@@ -390,29 +318,50 @@ mod tests {
         // A donor cache that built cold carries the ladder; the patching
         // cache adopts and repairs it.
         let mut donor = PropagationCache::new(g.clone(), x.clone());
-        let _ = donor.get_with(kernel, &t_old);
+        let _ = donor.get_with(kernel, &t_old, 0, &|| false);
         let old_ladder = donor.cached_ladder(kernel);
         assert_eq!(old_ladder.len(), 1, "k=2 ladder is one level");
         let mut cache = PropagationCache::new(edited.clone(), x.clone());
-        let patched = cache.repropagate_rows(kernel, &t_new, &old, &old_ladder, &dirty);
+        let patched = cache.repropagate_rows_laddered(kernel, &t_new, &old, &old_ladder, &dirty);
         assert_eq!(&*patched, &propagate(&edited, kernel, &x));
         // The patch is cached: the next get hands out the same allocation.
-        assert!(Arc::ptr_eq(&patched, &cache.get_with(kernel, &t_new)));
+        let again = cache.get_with(kernel, &t_new, 0, &|| false).unwrap();
+        assert!(Arc::ptr_eq(&patched, &again));
         // The patched ladder matches a cold build's over the edited graph,
         // so the next delta can repair level-locally too.
         let mut cold = PropagationCache::new(edited.clone(), x.clone());
-        let _ = cold.get_with(kernel, &t_new);
+        let _ = cold.get_with(kernel, &t_new, 0, &|| false);
         assert_eq!(
             cache.cached_ladder(kernel)[0],
             cold.cached_ladder(kernel)[0],
             "patched ladder != cold ladder"
         );
-        // A donor without a ladder (seeded artifact) still patches via the
-        // reverse-cone fallback.
-        let mut bare = PropagationCache::new(edited.clone(), x.clone());
-        let fallback = bare.repropagate_rows(kernel, &t_new, &old, &[], &dirty);
-        assert_eq!(&*fallback, &*patched);
-        assert!(bare.cached_ladder(kernel).is_empty());
+    }
+
+    #[test]
+    fn seed_adopts_complete_ladders_and_rejects_the_rest() {
+        let g = generators::erdos_renyi_gnm(20, 40, 3);
+        let x = DenseMatrix::from_vec(20, 2, (0..40).map(|i| (i % 5) as f32).collect());
+        let kernel = Kernel::RandomWalk { k: 3 };
+        let mut donor = PropagationCache::new(g.clone(), x.clone());
+        let value = donor.get(kernel);
+        let ladder = donor.cached_ladder(kernel);
+        assert_eq!(ladder.len(), 2);
+        let mut cache = PropagationCache::new(g.clone(), x.clone());
+        // Too shallow, too deep, and mis-shaped ladders are refused whole.
+        assert!(!cache.seed(kernel, Arc::clone(&value), ladder[..1].to_vec()));
+        let mut deep = ladder.clone();
+        deep.push(Arc::clone(&value));
+        assert!(!cache.seed(kernel, Arc::clone(&value), deep));
+        let narrow = Arc::new(DenseMatrix::zeros(20, 1));
+        assert!(!cache.seed(kernel, Arc::clone(&value), vec![Arc::clone(&narrow); 2]));
+        assert!(!cache.seed(kernel, narrow, ladder.clone()));
+        assert!(!cache.contains(kernel), "a refused seed caches nothing");
+        // The complete ladder is adopted, sharing every allocation.
+        assert!(cache.seed(kernel, Arc::clone(&value), ladder.clone()));
+        assert!(Arc::ptr_eq(&cache.get(kernel), &value));
+        let adopted = cache.cached_ladder(kernel);
+        assert!(adopted.iter().zip(&ladder).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]
@@ -423,12 +372,12 @@ mod tests {
         let x = DenseMatrix::full(20, 4, 1.0);
         let kernel = Kernel::RandomWalk { k: 2 };
         let mut cache = PropagationCache::new(g, x);
-        assert!(cache.get_with_ctl(kernel, &t, 0, &|| true).is_none());
+        assert!(cache.get_with(kernel, &t, 0, &|| true).is_none());
         assert!(!cache.contains(kernel), "cancelled build left no artifact");
         // A fresh uncancelled build produces the full, correct artifact.
-        let full = cache.get_with_ctl(kernel, &t, 0, &|| false).unwrap();
+        let full = cache.get_with(kernel, &t, 0, &|| false).unwrap();
         assert_eq!(&*full, &*cache.get(kernel));
         // Hits ignore the probe: the work already happened.
-        assert!(cache.get_with_ctl(kernel, &t, 0, &|| true).is_some());
+        assert!(cache.get_with(kernel, &t, 0, &|| true).is_some());
     }
 }

@@ -8,87 +8,33 @@ use grain_linalg::{ops, DenseMatrix};
 /// transition matrix internally (with self-loops, the GNN convention).
 pub fn propagate(g: &Graph, kernel: Kernel, x: &DenseMatrix) -> DenseMatrix {
     let t = transition_matrix(g, kernel.transition_kind(), true);
-    propagate_with(&t, kernel, x)
-}
-
-/// Propagates `x` through `kernel` using a prebuilt transition matrix.
-///
-/// Useful when several kernels share a transition matrix or when the caller
-/// wants a non-default normalization.
-///
-/// # Panics
-/// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_with(t: &CsrMatrix, kernel: Kernel, x: &DenseMatrix) -> DenseMatrix {
-    propagate_with_par(t, kernel, x, 0)
-}
-
-/// [`propagate_with`] running every SpMM round over `threads` workers
-/// (`0` = auto). The per-round combination steps (`scale`/`axpy`) are
-/// sequential and each SpMM output row is accumulated by exactly one
-/// worker, so `X^(k)` is bit-identical at any thread count.
-///
-/// # Panics
-/// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_with_par(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    threads: usize,
-) -> DenseMatrix {
-    propagate_with_ctl(t, kernel, x, threads, &|| false)
+    propagate_with(&t, kernel, x, 0, &|| false, None)
         .expect("propagation with a never-stopping probe cannot be cancelled")
 }
 
-/// [`propagate_with_par`] with a cooperative stop probe, polled **between
-/// SpMM power steps** (the expensive unit of work). Returns `None` as
-/// soon as the probe reports `true` — no partially combined `X^(k)` is
-/// ever returned, so a cancelled propagation leaves nothing to cache.
+/// Propagates `x` through `kernel` over a prebuilt transition matrix `t`,
+/// running every SpMM round over `threads` workers (`0` = auto).
 ///
-/// A probe that always returns `false` is bit-identical to
-/// [`propagate_with_par`].
+/// The per-round combination steps (`scale`/`axpy`) are sequential and
+/// each SpMM output row is accumulated by exactly one worker, so `X^(k)`
+/// is bit-identical at any thread count.
 ///
-/// # Panics
-/// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_with_ctl(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    threads: usize,
-    should_stop: &dyn Fn() -> bool,
-) -> Option<DenseMatrix> {
-    propagate_ctl_impl(t, kernel, x, threads, should_stop, None)
-}
-
-/// [`propagate_with_ctl`] that additionally returns the **power ladder**:
-/// the intermediate per-step state matrices (the SpMM *input* of steps
-/// `2..=k`, i.e. the state after steps `1..=k-1`). For the iterative
-/// kernels that state is `X^(l)` itself; for S2GC/GBP it is the power
-/// `T^l X` feeding the accumulator.
+/// `should_stop` is a cooperative stop probe, polled **between SpMM power
+/// steps** (the expensive unit of work). Returns `None` as soon as the
+/// probe reports `true` — no partially combined `X^(k)` is ever returned,
+/// so a cancelled propagation leaves nothing to cache.
 ///
-/// The ladder is what makes [`repropagate_rows_laddered`]
-/// output-proportional: with per-level clean values on hand, a delta only
-/// recomputes its dirty rows at each level instead of expanding a reverse
-/// neighbor cone. The extra cost over [`propagate_with_ctl`] is `k-1`
-/// dense clones (each `n·d` floats) — noise next to the SpMM rounds.
+/// `ladder`, when present, is cleared and then receives the **power
+/// ladder**: a clone of the step state *after* each of steps `1..=k-1`
+/// (the SpMM input of steps `2..=k`). For the iterative kernels that
+/// state is `X^(l)` itself; for S2GC/GBP it is the power `T^l X` feeding
+/// the accumulator. The ladder is what makes
+/// [`repropagate_rows_laddered`] output-proportional; capturing it never
+/// alters the arithmetic and costs `k-1` dense clones.
 ///
 /// # Panics
 /// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_ladder_with_ctl(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    threads: usize,
-    should_stop: &dyn Fn() -> bool,
-) -> Option<(DenseMatrix, Vec<DenseMatrix>)> {
-    let mut ladder = Vec::with_capacity(kernel.steps().saturating_sub(1));
-    let out = propagate_ctl_impl(t, kernel, x, threads, should_stop, Some(&mut ladder))?;
-    Some((out, ladder))
-}
-
-/// Shared implementation: the single float path behind both public
-/// variants. `ladder`, when present, receives a clone of the step state
-/// *after* each of steps `1..=k-1` — capture never alters the arithmetic.
-fn propagate_ctl_impl(
+pub fn propagate_with(
     t: &CsrMatrix,
     kernel: Kernel,
     x: &DenseMatrix,
@@ -106,6 +52,9 @@ fn propagate_ctl_impl(
         x.rows()
     );
     let steps = kernel.steps();
+    if let Some(ladder) = ladder.as_deref_mut() {
+        ladder.clear();
+    }
     let mut capture = |state: &DenseMatrix, step: usize| {
         if let Some(ladder) = ladder.as_deref_mut() {
             if step < steps {
@@ -120,7 +69,7 @@ fn propagate_ctl_impl(
                 if should_stop() {
                     return None;
                 }
-                cur = t.spmm_par(&cur, threads);
+                cur = t.spmm(&cur, threads);
                 capture(&cur, step);
             }
             cur
@@ -132,7 +81,7 @@ fn propagate_ctl_impl(
                 if should_stop() {
                     return None;
                 }
-                let mut next = t.spmm_par(&cur, threads);
+                let mut next = t.spmm(&cur, threads);
                 ops::scale(&mut next, 1.0 - alpha);
                 ops::axpy(&mut next, alpha, x);
                 cur = next;
@@ -149,7 +98,7 @@ fn propagate_ctl_impl(
                 if should_stop() {
                     return None;
                 }
-                power = t.spmm_par(&power, threads);
+                power = t.spmm(&power, threads);
                 ops::axpy(&mut acc, 1.0 - alpha, &power);
                 ops::axpy(&mut acc, alpha, x);
                 capture(&power, step);
@@ -166,7 +115,7 @@ fn propagate_ctl_impl(
                 if should_stop() {
                     return None;
                 }
-                power = t.spmm_par(&power, threads);
+                power = t.spmm(&power, threads);
                 weight *= beta;
                 ops::axpy(&mut acc, weight, &power);
                 capture(&power, step);
@@ -182,224 +131,22 @@ fn propagate_ctl_impl(
 /// matrix, splicing them into a copy of `old` — the prop-layer half of
 /// the streaming bit-identity contract.
 ///
-/// The caller guarantees that every row of `X^(k)` that differs between
-/// `old` and a cold `propagate_with(t, kernel, x)` build is listed in
-/// `dirty` (the k-hop ball of the touched transition rows and feature
-/// seeds — see `grain_graph::edit::k_hop_ball`); a superset is always
-/// safe. Under that contract the result is **bit-identical** to the cold
-/// build: dirty rows are recomputed level by level with exactly the
-/// per-row accumulation order of [`CsrMatrix::spmm_par`] and the same
-/// per-element combination steps as [`propagate_with_ctl`], and clean
-/// rows are memcpy'd from `old`.
-///
-/// Intermediate levels are not cached anywhere, so the recomputation
-/// works over *shrinking needed-row sets*: the rows whose level-`l`
-/// values feed a dirty level-`k` row are the reverse cone of `dirty`
-/// under `t`'s sparsity, seeded from the fully known level 0 (`x`).
-/// Work is `O(Σ_l |cone_l| · nnz/row · d)` — output-proportional, never
-/// `O(n)` in the number of clean rows beyond the final memcpy.
-///
-/// Runs serially: artifacts are thread-count invariant anyway, and dirty
-/// cones are small by construction.
-///
-/// # Panics
-/// Panics on shape mismatches, an unsorted/duplicate/out-of-range
-/// `dirty` list, or an S2GC kernel with `k = 0`.
-pub fn repropagate_rows(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    old: &DenseMatrix,
-    dirty: &[u32],
-) -> DenseMatrix {
-    use std::collections::HashMap;
-    assert_eq!(t.rows(), t.cols(), "transition matrix must be square");
-    assert_eq!(
-        t.cols(),
-        x.rows(),
-        "transition ({}x{}) does not match features ({} rows)",
-        t.rows(),
-        t.cols(),
-        x.rows()
-    );
-    assert_eq!(
-        old.shape(),
-        x.shape(),
-        "old X^(k) shape {:?} does not match features shape {:?}",
-        old.shape(),
-        x.shape()
-    );
-    for w in dirty.windows(2) {
-        assert!(w[0] < w[1], "dirty rows must be sorted and unique");
-    }
-    if let Some(&last) = dirty.last() {
-        assert!(
-            (last as usize) < t.rows(),
-            "dirty row {last} out of range ({} rows)",
-            t.rows()
-        );
-    }
-    if let Kernel::S2gc { k, .. } = kernel {
-        assert!(k >= 1, "S2GC needs k >= 1");
-    }
-    let mut out = old.clone();
-    if dirty.is_empty() {
-        return out;
-    }
-    let k = kernel.steps();
-    if k == 0 {
-        // Every k=0 kernel is the identity: X^(0) = X.
-        for &r in dirty {
-            out.row_mut(r as usize).copy_from_slice(x.row(r as usize));
-        }
-        return out;
-    }
-    let d = x.cols();
-    // Needed-row cone per level, top down: level k needs exactly `dirty`,
-    // level l needs every transition-neighbor of level l+1's rows (union
-    // with the set itself — not relying on T carrying self-loops).
-    let mut sets: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
-    sets[k] = dirty.to_vec();
-    for l in (1..k).rev() {
-        let mut need: Vec<u32> = Vec::new();
-        for &r in &sets[l + 1] {
-            need.push(r);
-            need.extend_from_slice(t.row_indices(r as usize));
-        }
-        need.sort_unstable();
-        need.dedup();
-        sets[l] = need;
-    }
-    // One SpMM output row, in spmm_par's exact accumulation order.
-    let spmm_row = |r: u32, level: usize, prev: &HashMap<u32, Vec<f32>>| -> Vec<f32> {
-        let mut row = vec![0.0f32; d];
-        let (idx, vals) = t.row(r as usize);
-        for (&c, &w) in idx.iter().zip(vals) {
-            if w == 0.0 {
-                continue;
-            }
-            let prev_row: &[f32] = if level == 1 {
-                x.row(c as usize)
-            } else {
-                prev.get(&c)
-                    .expect("needed row missing from previous level")
-            };
-            for (o, &xv) in row.iter_mut().zip(prev_row) {
-                *o += w * xv;
-            }
-        }
-        row
-    };
-    match kernel {
-        Kernel::SymNorm { .. } | Kernel::RandomWalk { .. } | Kernel::TriangleIa { .. } => {
-            // cur = T cur, k times.
-            let mut prev: HashMap<u32, Vec<f32>> = HashMap::new();
-            for (l, set) in sets.iter().enumerate().skip(1) {
-                let mut cur = HashMap::with_capacity(set.len());
-                for &r in set {
-                    cur.insert(r, spmm_row(r, l, &prev));
-                }
-                prev = cur;
-            }
-            for &r in dirty {
-                out.row_mut(r as usize).copy_from_slice(&prev[&r]);
-            }
-        }
-        Kernel::Ppr { alpha, .. } => {
-            // cur = (1-a) T cur + a X, per element in scale-then-axpy order.
-            let mut prev: HashMap<u32, Vec<f32>> = HashMap::new();
-            for (l, set) in sets.iter().enumerate().skip(1) {
-                let mut cur = HashMap::with_capacity(set.len());
-                for &r in set {
-                    let mut row = spmm_row(r, l, &prev);
-                    for (v, &x0) in row.iter_mut().zip(x.row(r as usize)) {
-                        *v *= 1.0 - alpha;
-                        *v += alpha * x0;
-                    }
-                    cur.insert(r, row);
-                }
-                prev = cur;
-            }
-            for &r in dirty {
-                out.row_mut(r as usize).copy_from_slice(&prev[&r]);
-            }
-        }
-        Kernel::S2gc { alpha, .. } => {
-            // acc += (1-a) T^l X + a X per step, then acc /= k. The power
-            // iterates over the full cone; acc only over dirty rows.
-            let mut acc: HashMap<u32, Vec<f32>> =
-                dirty.iter().map(|&r| (r, vec![0.0f32; d])).collect();
-            let mut prev: HashMap<u32, Vec<f32>> = HashMap::new();
-            for (l, set) in sets.iter().enumerate().skip(1) {
-                let mut power = HashMap::with_capacity(set.len());
-                for &r in set {
-                    power.insert(r, spmm_row(r, l, &prev));
-                }
-                for &r in dirty {
-                    let p = &power[&r];
-                    let a = acc.get_mut(&r).expect("acc row exists");
-                    for (v, &pv) in a.iter_mut().zip(p) {
-                        *v += (1.0 - alpha) * pv;
-                    }
-                    for (v, &x0) in a.iter_mut().zip(x.row(r as usize)) {
-                        *v += alpha * x0;
-                    }
-                }
-                prev = power;
-            }
-            let inv = 1.0 / k as f32;
-            for &r in dirty {
-                let a = acc.get_mut(&r).expect("acc row exists");
-                for v in a.iter_mut() {
-                    *v *= inv;
-                }
-                out.row_mut(r as usize).copy_from_slice(a);
-            }
-        }
-        Kernel::Gbp { beta, .. } => {
-            // acc = Σ β^l T^l X, l = 0 term included up front.
-            let mut acc: HashMap<u32, Vec<f32>> = dirty
-                .iter()
-                .map(|&r| (r, x.row(r as usize).to_vec()))
-                .collect();
-            let mut prev: HashMap<u32, Vec<f32>> = HashMap::new();
-            let mut weight = 1.0f32;
-            for (l, set) in sets.iter().enumerate().skip(1) {
-                let mut power = HashMap::with_capacity(set.len());
-                for &r in set {
-                    power.insert(r, spmm_row(r, l, &prev));
-                }
-                weight *= beta;
-                for &r in dirty {
-                    let p = &power[&r];
-                    let a = acc.get_mut(&r).expect("acc row exists");
-                    for (v, &pv) in a.iter_mut().zip(p) {
-                        *v += weight * pv;
-                    }
-                }
-                prev = power;
-            }
-            for &r in dirty {
-                out.row_mut(r as usize).copy_from_slice(&acc[&r]);
-            }
-        }
-    }
-    out
-}
-
-/// [`repropagate_rows`] with a **power ladder** from
-/// [`propagate_ladder_with_ctl`]: because every level's clean rows are on
-/// hand, only the `dirty` rows are recomputed at each of the `k` steps —
-/// `O(k · |dirty| · nnz/row · d)` work, with no reverse-cone expansion
-/// over clean neighbors. Returns the patched `X^(k)` **and** the patched
+/// `old_ladder` is the power ladder [`propagate_with`] captured for `old`.
+/// Because every level's clean rows are on hand, only the `dirty` rows
+/// are recomputed at each of the `k` steps — `O(k · |dirty| · nnz/row ·
+/// d)` work, with exactly the per-row accumulation order of
+/// [`CsrMatrix::spmm`] and the same per-element combination steps as
+/// [`propagate_with`]. Returns the patched `X^(k)` **and** the patched
 /// ladder (each level's dirty rows spliced over a copy), so the caller
-/// can re-cache both and the *next* delta patches just as cheaply.
+/// can re-cache both and the *next* delta patches just as cheaply. Runs
+/// serially: dirty sets are small by construction.
 ///
-/// Bit-identity contract is the cone version's, extended one axis: every
-/// level-`l` row that differs from a cold build must be in `dirty` (true
-/// for any `dirty ⊇ ball_k(seeds)`, since per-level dirt is the nested
-/// `ball_l(seeds)`), and `old_ladder` must be the cold build's ladder
-/// over the pre-delta corpus.
+/// Bit-identity contract: every level-`l` row that differs from a cold
+/// build over the edited corpus must be in `dirty` (true for any `dirty ⊇
+/// ball_k(seeds)`, since per-level dirt is the nested `ball_l(seeds)`; see
+/// `grain_graph::edit::k_hop_ball`), and `old_ladder` must be the cold
+/// build's ladder over the pre-delta corpus. Under that contract the
+/// result is byte-identical to the cold build.
 ///
 /// # Panics
 /// Panics on shape mismatches, an unsorted/duplicate/out-of-range
@@ -480,7 +227,7 @@ pub fn repropagate_rows_laddered(
     fn row_slice(buf: &[f32], j: usize, d: usize) -> &[f32] {
         &buf[j * d..(j + 1) * d]
     }
-    // One SpMM output row per dirty row, in spmm_par's exact accumulation
+    // One SpMM output row per dirty row, in spmm's exact accumulation
     // order: dirty prev values from `prev_dirty`, clean ones from the
     // level's cold-state source (`x` at level 1, the old ladder above).
     let spmm_dirty = |level: usize, prev_dirty: &[f32], cur: &mut [f32]| {
@@ -689,7 +436,7 @@ mod tests {
         let x = features(30, 3);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
         let a = propagate(&g, Kernel::RandomWalk { k: 2 }, &x);
-        let b = propagate_with(&t, Kernel::RandomWalk { k: 2 }, &x);
+        let b = propagate_with(&t, Kernel::RandomWalk { k: 2 }, &x, 0, &|| false, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -699,10 +446,10 @@ mod tests {
         let x = features(200, 4);
         for kernel in Kernel::all_table1(2) {
             let t = transition_matrix(&g, kernel.transition_kind(), true);
-            let serial = propagate_with_par(&t, kernel, &x, 1);
+            let serial = propagate_with(&t, kernel, &x, 1, &|| false, None).unwrap();
             for threads in [2usize, 8] {
                 assert_eq!(
-                    propagate_with_par(&t, kernel, &x, threads),
+                    propagate_with(&t, kernel, &x, threads, &|| false, None).unwrap(),
                     serial,
                     "{} at {threads} threads",
                     kernel.name()
@@ -737,9 +484,48 @@ mod tests {
         let _ = propagate(&g, Kernel::RandomWalk { k: 1 }, &x);
     }
 
+    /// `X^(k)` plus its power ladder, built serially.
+    fn laddered(t: &CsrMatrix, kernel: Kernel, x: &DenseMatrix) -> (DenseMatrix, Vec<DenseMatrix>) {
+        let mut ladder = Vec::new();
+        let out = propagate_with(t, kernel, x, 1, &|| false, Some(&mut ladder)).unwrap();
+        (out, ladder)
+    }
+
+    /// Patches `old` over an edit of `g` into `edited` and checks the
+    /// result and its ladder against a cold build over `edited`.
+    fn assert_patch_matches_cold(
+        g: &Graph,
+        edited: &Graph,
+        endpoints: &[u32],
+        x: &DenseMatrix,
+        kernel: Kernel,
+    ) {
+        use grain_graph::edit::k_hop_ball;
+        let k = kernel.steps();
+        let t_old = transition_matrix(g, kernel.transition_kind(), true);
+        let t_new = transition_matrix(edited, kernel.transition_kind(), true);
+        let (old, old_ladder) = laddered(&t_old, kernel, x);
+        let (cold, cold_ladder) = laddered(&t_new, kernel, x);
+        assert_eq!(old_ladder.len(), k.saturating_sub(1), "{}", kernel.name());
+        // Generous dirty superset: every changed transition row lies
+        // within one hop of a touched endpoint, so the (k+1)-hop ball
+        // covers the k-hop ball of the transition-dirty rows.
+        let dirty = k_hop_ball(edited, endpoints, k + 1);
+        let refs: Vec<&DenseMatrix> = old_ladder.iter().collect();
+        let (patched, patched_ladder) =
+            repropagate_rows_laddered(&t_new, kernel, x, &old, &refs, &dirty);
+        assert_eq!(patched, cold, "{} patched != cold", kernel.name());
+        assert_eq!(
+            patched_ladder,
+            cold_ladder,
+            "{} patched ladder != cold ladder",
+            kernel.name()
+        );
+    }
+
     #[test]
     fn repropagated_rows_match_cold_build_after_edits() {
-        use grain_graph::edit::{apply_edge_edits, k_hop_ball};
+        use grain_graph::edit::apply_edge_edits;
         let g = generators::erdos_renyi_gnm(60, 150, 11);
         let x = features(60, 4);
         // Delete two existing edges, insert two fresh ones.
@@ -758,47 +544,19 @@ mod tests {
         }
         let (edited, endpoints) = apply_edge_edits(&g, &inserts, &[(u0, v0), (u1, v1)]).unwrap();
         for kernel in Kernel::all_table1(2) {
-            let k = kernel.steps();
-            let t_old = transition_matrix(&g, kernel.transition_kind(), true);
-            let t_new = transition_matrix(&edited, kernel.transition_kind(), true);
-            let old = propagate_with(&t_old, kernel, &x);
-            let cold = propagate_with(&t_new, kernel, &x);
-            // Generous dirty superset: every changed transition row lies
-            // within one hop of a touched endpoint, so the (k+1)-hop ball
-            // covers the k-hop ball of the transition-dirty rows.
-            let dirty = k_hop_ball(&edited, &endpoints, k + 1);
-            let patched = repropagate_rows(&t_new, kernel, &x, &old, &dirty);
-            assert_eq!(patched, cold, "{} patched != cold", kernel.name());
+            assert_patch_matches_cold(&g, &edited, &endpoints, &x, kernel);
         }
     }
 
     #[test]
     fn laddered_repropagation_matches_cold_build_and_cold_ladder() {
-        use grain_graph::edit::{apply_edge_edits, k_hop_ball};
+        use grain_graph::edit::apply_edge_edits;
         let g = generators::erdos_renyi_gnm(60, 150, 13);
         let x = features(60, 4);
         let (u0, v0) = (3u32, *g.neighbors(3).first().expect("node 3 has neighbors"));
         let (edited, endpoints) = apply_edge_edits(&g, &[(0, 59, 1.25)], &[(u0, v0)]).unwrap();
         for kernel in Kernel::all_table1(3) {
-            let k = kernel.steps();
-            let t_old = transition_matrix(&g, kernel.transition_kind(), true);
-            let t_new = transition_matrix(&edited, kernel.transition_kind(), true);
-            let (old, old_ladder) =
-                propagate_ladder_with_ctl(&t_old, kernel, &x, 1, &|| false).unwrap();
-            let (cold, cold_ladder) =
-                propagate_ladder_with_ctl(&t_new, kernel, &x, 1, &|| false).unwrap();
-            assert_eq!(old_ladder.len(), k.saturating_sub(1), "{}", kernel.name());
-            let dirty = k_hop_ball(&edited, &endpoints, k + 1);
-            let refs: Vec<&DenseMatrix> = old_ladder.iter().collect();
-            let (patched, patched_ladder) =
-                repropagate_rows_laddered(&t_new, kernel, &x, &old, &refs, &dirty);
-            assert_eq!(patched, cold, "{} patched != cold", kernel.name());
-            assert_eq!(
-                patched_ladder,
-                cold_ladder,
-                "{} patched ladder != cold ladder",
-                kernel.name()
-            );
+            assert_patch_matches_cold(&g, &edited, &endpoints, &x, kernel);
         }
     }
 
@@ -808,10 +566,9 @@ mod tests {
         let x = features(30, 3);
         for kernel in Kernel::all_table1(3) {
             let t = transition_matrix(&g, kernel.transition_kind(), true);
-            let plain = propagate_with_par(&t, kernel, &x, 1);
-            let (laddered, ladder) =
-                propagate_ladder_with_ctl(&t, kernel, &x, 1, &|| false).unwrap();
-            assert_eq!(plain, laddered, "{}", kernel.name());
+            let plain = propagate_with(&t, kernel, &x, 1, &|| false, None).unwrap();
+            let (with_ladder, ladder) = laddered(&t, kernel, &x);
+            assert_eq!(plain, with_ladder, "{}", kernel.name());
             assert_eq!(ladder.len(), kernel.steps().saturating_sub(1));
         }
     }
@@ -822,8 +579,12 @@ mod tests {
         let x = features(30, 3);
         let kernel = Kernel::RandomWalk { k: 2 };
         let t = transition_matrix(&g, kernel.transition_kind(), true);
-        let old = propagate_with(&t, kernel, &x);
-        assert_eq!(repropagate_rows(&t, kernel, &x, &old, &[]), old);
+        let (old, ladder) = laddered(&t, kernel, &x);
+        let refs: Vec<&DenseMatrix> = ladder.iter().collect();
+        assert_eq!(
+            repropagate_rows_laddered(&t, kernel, &x, &old, &refs, &[]),
+            (old, ladder)
+        );
     }
 
     #[test]
@@ -832,12 +593,13 @@ mod tests {
         let x = features(30, 3);
         let kernel = Kernel::RandomWalk { k: 0 };
         let t = transition_matrix(&g, kernel.transition_kind(), true);
-        // Pretend rows 3 and 7 are stale.
+        // Pretend rows 3 and 7 are stale; a k=0 kernel has no ladder.
         let mut old = x.clone();
         old.row_mut(3).fill(99.0);
         old.row_mut(7).fill(-1.0);
-        let patched = repropagate_rows(&t, kernel, &x, &old, &[3, 7]);
+        let (patched, ladder) = repropagate_rows_laddered(&t, kernel, &x, &old, &[], &[3, 7]);
         assert_eq!(patched, x);
+        assert!(ladder.is_empty());
     }
 
     #[test]
@@ -847,19 +609,25 @@ mod tests {
         let x = features(30, 2);
         let kernel = Kernel::RandomWalk { k: 1 };
         let t = transition_matrix(&g, kernel.transition_kind(), true);
-        let old = propagate_with(&t, kernel, &x);
-        let _ = repropagate_rows(&t, kernel, &x, &old, &[7, 3]);
+        let (old, _) = laddered(&t, kernel, &x);
+        let _ = repropagate_rows_laddered(&t, kernel, &x, &old, &[], &[7, 3]);
     }
 
     #[test]
     fn never_stopping_probe_is_bit_identical() {
+        use std::cell::Cell;
         let g = test_graph();
         let x = features(30, 3);
         for kernel in Kernel::all_table1(2) {
             let t = transition_matrix(&g, kernel.transition_kind(), true);
-            let plain = propagate_with_par(&t, kernel, &x, 1);
-            let ctl = propagate_with_ctl(&t, kernel, &x, 1, &|| false).unwrap();
-            assert_eq!(plain, ctl, "{}", kernel.name());
+            let polls = Cell::new(0usize);
+            let probe = || {
+                polls.set(polls.get() + 1);
+                false
+            };
+            let polled = propagate_with(&t, kernel, &x, 1, &probe, None).unwrap();
+            assert_eq!(polled, propagate(&g, kernel, &x), "{}", kernel.name());
+            assert_eq!(polls.get(), kernel.steps(), "{}", kernel.name());
         }
     }
 
@@ -870,16 +638,22 @@ mod tests {
         let x = features(30, 3);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
         // Stop before the very first step...
-        assert!(propagate_with_ctl(&t, Kernel::RandomWalk { k: 3 }, &x, 1, &|| true).is_none());
+        assert!(propagate_with(&t, Kernel::RandomWalk { k: 3 }, &x, 1, &|| true, None).is_none());
         // ...and between steps: the probe is polled once per power.
         let polls = Cell::new(0usize);
         let stop_after_two = || {
             polls.set(polls.get() + 1);
             polls.get() > 2
         };
-        assert!(
-            propagate_with_ctl(&t, Kernel::RandomWalk { k: 5 }, &x, 1, &stop_after_two).is_none()
-        );
+        assert!(propagate_with(
+            &t,
+            Kernel::RandomWalk { k: 5 },
+            &x,
+            1,
+            &stop_after_two,
+            None
+        )
+        .is_none());
         assert_eq!(polls.get(), 3, "polled at each of the first three powers");
     }
 }

@@ -90,11 +90,14 @@ impl<'a> SelectionContext<'a> {
             dataset.num_nodes(),
             "engine corpus must match the dataset"
         );
-        let smoothed = engine.propagated();
+        engine.propagated();
+        let (smoothed, ladder) = engine
+            .propagated_if_cached(engine.config().kernel)
+            .expect("propagation was just ensured");
         let mut own =
             SelectionEngine::over(*engine.config(), engine.graph_arc(), engine.features_arc())
                 .expect("source engine config was validated");
-        own.seed_propagated(Arc::clone(&smoothed));
+        own.seed_propagated(Arc::clone(&smoothed), ladder);
         Self {
             dataset,
             seed,

@@ -51,8 +51,8 @@ fn engine_sweep(
 fn private_engine_like(config: GrainConfig, engine: &SelectionEngine) -> SelectionEngine {
     let mut own = SelectionEngine::over(config, engine.graph_arc(), engine.features_arc())
         .expect("adapter configs are validated at construction");
-    if let Some(propagated) = engine.propagated_if_cached(config.kernel) {
-        own.seed_propagated(propagated);
+    if let Some((value, ladder)) = engine.propagated_if_cached(config.kernel) {
+        own.seed_propagated(value, ladder);
     }
     own
 }

@@ -1,6 +1,7 @@
 //! Reproducibility: every pipeline stage is a pure function of its seed,
 //! including under parallel execution.
 
+use grain::influence::walk::kernel_power_weights;
 use grain::prelude::*;
 
 #[test]
@@ -70,8 +71,24 @@ fn gnn_training_is_deterministic_per_seed() {
 fn influence_rows_identical_across_runs() {
     let ds = grain::data::synthetic::papers_like(600, 8);
     let t = grain::graph::transition_matrix(&ds.graph, TransitionKind::RandomWalk, true);
-    let a = InfluenceRows::compute(&t, 2, 1e-4);
-    let b = InfluenceRows::compute(&t, 2, 1e-4);
+    let a = InfluenceRows::build(
+        &t,
+        &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
+        1e-4,
+        0,
+        0,
+        &|| false,
+    )
+    .unwrap();
+    let b = InfluenceRows::build(
+        &t,
+        &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
+        1e-4,
+        0,
+        0,
+        &|| false,
+    )
+    .unwrap();
     for v in 0..ds.num_nodes() {
         assert_eq!(a.row(v), b.row(v));
     }

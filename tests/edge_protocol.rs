@@ -136,7 +136,7 @@ fn structural_frame_violations_are_typed_refusals_not_panics() {
         // it isolates the violation under test to the poked field.
         if label != "corrupt checksum" {
             let body_end = poisoned.len() - 8;
-            let sum = proto::fnv1a64(&poisoned[4..body_end]);
+            let sum = proto::frame_checksum(&poisoned[4..body_end]);
             poisoned[body_end..].copy_from_slice(&sum.to_le_bytes());
         }
         let mut stream = raw_hello("gold");

@@ -130,7 +130,8 @@ proptest! {
             for eps in [0.0f32, 1e-3] {
                 let oracle = nested_reference(&t, &weights, eps, 0);
                 for threads in [1usize, 2, 7] {
-                    let csr = InfluenceRows::compute_weighted_par(&t, &weights, eps, threads);
+                    let csr = InfluenceRows::build(&t, &weights, eps, 0, threads, &|| false)
+                        .expect("never-stopping probe");
                     assert_bit_identical(
                         &csr,
                         &oracle,
@@ -154,10 +155,8 @@ proptest! {
         let weights = kernel_power_weights(Kernel::SymNorm { k: 2 });
         let oracle = nested_reference(&t, &weights, 0.0, top_k);
         for threads in [1usize, 3, 8] {
-            let csr = InfluenceRows::compute_weighted_topk_ctl(
-                &t, &weights, 0.0, top_k, threads, &|| false,
-            )
-            .expect("never-stopping probe");
+            let csr = InfluenceRows::build(&t, &weights, 0.0, top_k, threads, &|| false)
+                .expect("never-stopping probe");
             assert_bit_identical(&csr, &oracle, &format!("top_k={top_k} threads={threads}"));
             for v in 0..nodes {
                 prop_assert!(csr.row_nnz(v) <= top_k);
@@ -172,21 +171,18 @@ proptest! {
 fn csr_resident_bytes_undercut_nested_layout() {
     let g = generators::erdos_renyi_gnm(200, 900, 5);
     let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
+    let weights = kernel_power_weights(Kernel::RandomWalk { k: 2 });
     for top_k in [0usize, 8] {
-        let rows = InfluenceRows::compute_weighted_topk_ctl(
-            &t,
-            &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
-            0.0,
-            top_k,
-            0,
-            &|| false,
-        )
-        .unwrap();
+        let rows = InfluenceRows::build(&t, &weights, 0.0, top_k, 0, &|| false).unwrap();
+        // What the oracle's `Vec<Vec<(u32, f32)>>` rows occupy on the heap.
+        let nested_bytes: usize = nested_reference(&t, &weights, 0.0, top_k)
+            .iter()
+            .map(|row| std::mem::size_of::<Vec<(u32, f32)>>() + std::mem::size_of_val(&row[..]))
+            .sum();
         assert!(
-            rows.resident_bytes() < rows.nested_layout_bytes(),
-            "top_k={top_k}: {} !< {}",
+            rows.resident_bytes() < nested_bytes,
+            "top_k={top_k}: {} !< {nested_bytes}",
             rows.resident_bytes(),
-            rows.nested_layout_bytes()
         );
     }
 }

@@ -17,6 +17,7 @@
 //!    old epoch's files.
 
 use grain::core::store::ArtifactKind;
+use grain::influence::walk::kernel_power_weights;
 use grain::prelude::*;
 use grain_graph::{generators, transition_matrix};
 use proptest::prelude::*;
@@ -72,10 +73,16 @@ proptest! {
         ][kernel_pick];
         let (g, _) = corpus(n, seed);
         let t = transition_matrix(&g, kernel.transition_kind(), true);
-        let rows =
-            InfluenceRows::for_kernel_topk_ctl(&t, kernel, 1e-4, top_k, threads, &|| false)
-                .unwrap();
-        let index = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.3));
+        let rows = InfluenceRows::build(
+            &t,
+            &kernel_power_weights(kernel),
+            1e-4,
+            top_k,
+            threads,
+            &|| false,
+        )
+        .unwrap();
+        let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.3), 1);
 
         let scratch = ScratchDir::new("rt");
         let store = ArtifactStore::open(scratch.path()).unwrap();
@@ -149,7 +156,8 @@ fn every_corruption_is_a_typed_error_not_a_panic() {
     let (g, _) = corpus(60, 5);
     let kernel = Kernel::SymNorm { k: 2 };
     let t = transition_matrix(&g, kernel.transition_kind(), true);
-    let rows = InfluenceRows::for_kernel(&t, kernel, 1e-4);
+    let rows =
+        InfluenceRows::build(&t, &kernel_power_weights(kernel), 1e-4, 0, 0, &|| false).unwrap();
     let scratch = ScratchDir::new("corrupt");
     let store = ArtifactStore::open(scratch.path()).unwrap();
     let addr = ContentAddress {
@@ -353,6 +361,63 @@ fn corrupt_store_falls_back_to_cold_build_and_heals() {
     assert_eq!(healed.outcome().selected, cold.outcome().selected);
 }
 
+/// A stored power ladder of the wrong depth is refused at adoption: the
+/// restarted service re-propagates cold (still loading the rows and the
+/// index), answers exactly as the original cold run, and heals the file
+/// with a complete ladder the next restart adopts.
+#[test]
+fn wrong_depth_ladder_falls_back_to_cold_propagation() {
+    let (g, x) = corpus(120, 13);
+    let config = GrainConfig::ball_d();
+    let request = SelectionRequest::new("g", config, Budget::Fixed(6));
+    let addr = ContentAddress {
+        graph_fingerprint: grain::core::store::fingerprint_corpus(&g, &x),
+        epoch: 0,
+        artifact_fingerprint: config.artifact_fingerprint(),
+    };
+    let depth = config.kernel.steps() - 1;
+    assert!(depth >= 1, "the default kernel keeps a ladder");
+    for wrong in [0, depth + 1] {
+        let scratch = ScratchDir::new("ladder-depth");
+        let cold = {
+            let service = GrainService::new()
+                .with_artifact_store(scratch.path())
+                .unwrap();
+            service.register_graph("g", g.clone(), x.clone()).unwrap();
+            service.select(&request).unwrap()
+        };
+        // Re-seal the propagation file around a ladder of `wrong` levels.
+        let store = ArtifactStore::open(scratch.path()).unwrap();
+        let (value, ladder) = store.load_propagation(&addr).unwrap().unwrap();
+        assert_eq!(ladder.len(), depth);
+        let levels: Vec<&DenseMatrix> = std::iter::repeat(&value).take(wrong).collect();
+        store.save_propagation(&addr, &value, &levels).unwrap();
+
+        let service = GrainService::new()
+            .with_artifact_store(scratch.path())
+            .unwrap();
+        service.register_graph("g", g.clone(), x.clone()).unwrap();
+        let rebuilt = service.select(&request).unwrap();
+        assert_eq!(
+            rebuilt.artifact_builds.propagation_builds, 1,
+            "{wrong} levels"
+        );
+        assert_eq!(
+            rebuilt.artifact_builds.influence_builds, 0,
+            "{wrong} levels"
+        );
+        assert_eq!(rebuilt.artifact_builds.index_builds, 0, "{wrong} levels");
+        assert_eq!(rebuilt.outcome().selected, cold.outcome().selected);
+        assert_eq!(
+            rebuilt.outcome().objective_trace,
+            cold.outcome().objective_trace
+        );
+        assert_eq!(service.store_stats().unwrap().saves, 1, "the rebuild heals");
+        let (_, healed) = store.load_propagation(&addr).unwrap().unwrap();
+        assert_eq!(healed.len(), depth);
+    }
+}
+
 /// Epoch exactness: after a delta lands, the store serves the *patched*
 /// epoch's artifacts — a persisted pre-delta artifact is never loaded
 /// for the post-delta epoch — and the retired epoch's files are removed.
@@ -416,7 +481,8 @@ fn scratch_dirs_are_cleaned_up_on_drop() {
         let store = ArtifactStore::open(scratch.path()).unwrap();
         let (g, _) = corpus(30, 1);
         let t = transition_matrix(&g, grain_graph::TransitionKind::Symmetric, true);
-        let rows = InfluenceRows::for_kernel(&t, Kernel::SymNorm { k: 2 }, 1e-4);
+        let weights = kernel_power_weights(Kernel::SymNorm { k: 2 });
+        let rows = InfluenceRows::build(&t, &weights, 1e-4, 0, 0, &|| false).unwrap();
         let addr = ContentAddress {
             graph_fingerprint: 1,
             epoch: 0,

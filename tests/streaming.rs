@@ -263,6 +263,67 @@ fn feature_only_delta_skips_influence_rewalk() {
     assert_bit_identical(&patched, &reference, "feature-only delta");
 }
 
+/// A θ-sibling adopts `X^(k)` and its power ladder from the resident
+/// ball-D engine instead of re-propagating. `apply_update` then repairs
+/// both engines level-locally from their ladders, and both match a cold
+/// build of the mutated corpus bit for bit — selections, `X^(k)`, and the
+/// ladder the next delta will repair from.
+#[test]
+fn donated_sibling_patches_from_its_ladder_bit_identically() {
+    let (g, x) = corpus(80, 31);
+    let kernel = Kernel::RandomWalk { k: 2 };
+    let base = config_for(kernel, 0, 0);
+    let sibling = GrainConfig {
+        theta: ThetaRule::RelativeToRowMax(0.35),
+        ..base
+    };
+    assert_ne!(base.artifact_fingerprint(), sibling.artifact_fingerprint());
+    let requests = [base, sibling].map(|c| SelectionRequest::new("live", c, Budget::Fixed(6)));
+    let service = GrainService::with_capacity(8);
+    service
+        .register_graph("live", g.clone(), x.clone())
+        .unwrap();
+    let first = service.select(&requests[0]).unwrap();
+    assert_eq!(first.artifact_builds.propagation_builds, 1);
+    let donated = service.select(&requests[1]).unwrap();
+    assert_eq!(
+        donated.artifact_builds.propagation_builds, 0,
+        "the sibling adopts the resident X^(k)"
+    );
+
+    let delta = mutation(&g, 31, false);
+    let report = service.apply_update("live", &delta).unwrap();
+    assert_eq!(report.engines_patched(), 2);
+    let (g2, x2) = mutated_corpus(&g, &x, &delta);
+    let cold = GrainService::new();
+    cold.register_graph("live", g2, x2).unwrap();
+    for request in &requests {
+        let context = format!("theta {:?}", request.config.theta);
+        let patched = service.select(request).unwrap();
+        assert_eq!(patched.pool_event, PoolEvent::Hit, "{context}");
+        assert_eq!(patched.artifact_builds.propagation_builds, 0, "{context}");
+        let reference = cold.select(request).unwrap();
+        assert_bit_identical(&patched, &reference, &context);
+
+        let (live_engine, _) = service.engine("live", &request.config).unwrap();
+        let (value, ladder) = live_engine
+            .lock()
+            .propagated_if_cached(kernel)
+            .expect("patched X^(k)");
+        let (cold_engine, _) = cold.engine("live", &request.config).unwrap();
+        let (cold_value, cold_ladder) = cold_engine.lock().propagated_if_cached(kernel).unwrap();
+        assert_eq!(
+            ladder.len(),
+            kernel.steps() - 1,
+            "{context}: complete ladder"
+        );
+        assert_eq!(*value, *cold_value, "{context}: X^(k)");
+        for (level, (a, b)) in ladder.iter().zip(&cold_ladder).enumerate() {
+            assert_eq!(**a, **b, "{context}: ladder level {level}");
+        }
+    }
+}
+
 /// Epoch semantics under the scheduler: selections queued (and coalesced)
 /// before an `apply_update` lands still complete, and everything that
 /// *executes* after the flip is bit-identical to a cold service over the

@@ -3,11 +3,13 @@
 //! `D_ball`, `D_NN` and the combined DIM objective `F`, plus CELF/greedy
 //! equivalence — all on randomized graphs via proptest.
 
+use grain::core::cancel::CancelToken;
 use grain::core::diversity::{BallDiversity, DiversityFunction, NnDiversity};
 use grain::core::greedy::{lazy_greedy, plain_greedy};
 use grain::core::objective::MarginalObjective;
 use grain::core::DimObjective;
 use grain::influence::theory::check_all_chains;
+use grain::influence::walk::kernel_power_weights;
 use grain::influence::{ActivationIndex, InfluenceRows};
 use grain::prelude::*;
 use grain_graph::generators;
@@ -17,8 +19,16 @@ use proptest::prelude::*;
 fn instance(nodes: usize, edges: usize, seed: u64) -> (Graph, DenseMatrix, ActivationIndex) {
     let g = generators::erdos_renyi_gnm(nodes, edges, seed);
     let t = grain_graph::transition_matrix(&g, TransitionKind::RandomWalk, true);
-    let rows = InfluenceRows::compute(&t, 2, 0.0);
-    let idx = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.3));
+    let rows = InfluenceRows::build(
+        &t,
+        &kernel_power_weights(Kernel::RandomWalk { k: 2 }),
+        0.0,
+        0,
+        0,
+        &|| false,
+    )
+    .unwrap();
+    let idx = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.3), 1);
     let data: Vec<f32> = (0..nodes * 4)
         .map(|i| {
             (((i as u64).wrapping_mul(seed ^ 0x9e3779b97f4a7c15) >> 33) % 97) as f32 * 0.05 + 0.01
@@ -45,7 +55,7 @@ proptest! {
     #[test]
     fn ball_diversity_monotone_submodular(seed in 0u64..500, nodes in 12usize..24) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let universe: Vec<u32> = (0..6u32).collect();
         let mut f = |s: &[u32]| {
             let mut div = BallDiversity::new(&emb, 0.1);
@@ -59,7 +69,7 @@ proptest! {
     #[test]
     fn nn_diversity_monotone_submodular(seed in 0u64..500, nodes in 12usize..20) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let universe: Vec<u32> = (0..5u32).collect();
         let mut f = |s: &[u32]| {
             let mut div = NnDiversity::new(emb.clone(), 1024);
@@ -74,7 +84,7 @@ proptest! {
     #[test]
     fn dim_objective_monotone_submodular(seed in 0u64..300, nodes in 12usize..20) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let universe: Vec<u32> = (0..5u32).collect();
         let mut f = |s: &[u32]| {
             let div = BallDiversity::new(&emb, 0.1);
@@ -91,12 +101,12 @@ proptest! {
     #[test]
     fn celf_equals_plain_greedy(seed in 0u64..500, nodes in 15usize..40, budget in 2usize..8) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let candidates: Vec<u32> = (0..nodes as u32).collect();
         let mut a = DimObjective::new(&idx, BallDiversity::new(&emb, 0.1), 1.0);
-        let ta = plain_greedy(&mut a, &candidates, budget);
+        let ta = plain_greedy(&mut a, &candidates, budget, &CancelToken::new(), usize::MAX);
         let mut b = DimObjective::new(&idx, BallDiversity::new(&emb, 0.1), 1.0);
-        let tb = lazy_greedy(&mut b, &candidates, budget);
+        let tb = lazy_greedy(&mut b, &candidates, budget, &CancelToken::new(), usize::MAX);
         prop_assert_eq!(&ta.selected, &tb.selected);
         prop_assert!(tb.evaluations <= ta.evaluations);
     }
@@ -105,10 +115,10 @@ proptest! {
     #[test]
     fn greedy_trace_concave(seed in 0u64..300, nodes in 15usize..30) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let candidates: Vec<u32> = (0..nodes as u32).collect();
         let mut obj = DimObjective::new(&idx, BallDiversity::new(&emb, 0.1), 1.0);
-        let trace = plain_greedy(&mut obj, &candidates, 6);
+        let trace = plain_greedy(&mut obj, &candidates, 6, &CancelToken::new(), usize::MAX);
         let mut last_value = 0.0;
         let mut last_gain = f64::INFINITY;
         for &v in &trace.objective_trace {
@@ -125,7 +135,7 @@ proptest! {
     fn influence_rows_are_distributions(seed in 0u64..500, nodes in 10usize..40, edge_factor in 1usize..5) {
         let g = generators::erdos_renyi_gnm(nodes, nodes * edge_factor, seed);
         let t = grain_graph::transition_matrix(&g, TransitionKind::RandomWalk, true);
-        let rows = InfluenceRows::compute(&t, 2, 0.0);
+        let rows = InfluenceRows::build(&t, &kernel_power_weights(Kernel::RandomWalk { k: 2 }), 0.0, 0, 0, &|| false).unwrap();
         for v in 0..nodes {
             let sum: f32 = rows.row_values(v).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "row {} sums to {}", v, sum);
