@@ -2,7 +2,10 @@
 //! machine-readable `BENCH_cancel.json` summary so the resilience cost
 //! model is comparable across PRs without parsing console output.
 //!
-//! Three cases over one warm n = 2000 corpus:
+//! Three cases over one warm n = 2000 corpus. Every iteration alternates
+//! between two γ values, so each request misses the greedy trace its
+//! predecessor left and times a real greedy run (a repeated request would
+//! be sliced from the trace and never reach a greedy checkpoint):
 //!
 //! * **run-to-completion** — the uncancelled baseline: a full warm
 //!   selection through `GrainService::select_with` with an untripped
@@ -23,7 +26,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grain_bench::record::{summarize, write_json, Case};
 use grain_core::{Budget, CancelToken, GrainConfig, GrainService, OnDeadline, SelectionRequest};
 use grain_data::synthetic::papers_like;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,11 +37,26 @@ fn bench_cancellation(c: &mut Criterion) {
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");
-    let request = SelectionRequest::new("papers", GrainConfig::ball_d(), Budget::Fixed(budget))
-        .with_candidates(dataset.split.train.clone());
+    let requests = [1.0, 0.5].map(|gamma| {
+        let config = GrainConfig {
+            gamma,
+            ..GrainConfig::ball_d()
+        };
+        SelectionRequest::new("papers", config, Budget::Fixed(budget))
+            .with_candidates(dataset.split.train.clone())
+    });
+    let turn = Cell::new(0usize);
+    let next_request = || {
+        let i = turn.get();
+        turn.set(i + 1);
+        &requests[i % requests.len()]
+    };
     // Prime the engine: every case below measures the serving path over
-    // warm artifacts, not the one-time cold build.
-    service.select(&request).expect("priming request succeeds");
+    // warm artifacts, not the one-time cold build. The trace left behind
+    // is the last request's, so the first timed request misses too.
+    for request in &requests {
+        service.select(request).expect("priming request succeeds");
+    }
 
     let mut cases: Vec<Case> = Vec::new();
     let mut group = c.benchmark_group("cancellation");
@@ -50,7 +68,7 @@ fn bench_cancellation(c: &mut Criterion) {
         b.iter(|| {
             let t = Instant::now();
             let report = service
-                .select_with(&request, &CancelToken::new(), OnDeadline::Fail)
+                .select_with(next_request(), &CancelToken::new(), OnDeadline::Fail)
                 .expect("warm request");
             full.borrow_mut().push(t.elapsed());
             std::hint::black_box(report.outcome().selected.len())
@@ -73,7 +91,7 @@ fn bench_cancellation(c: &mut Criterion) {
         b.iter(|| {
             let token = CancelToken::with_deadline_in(deadline);
             let t = Instant::now();
-            let result = service.select_with(&request, &token, OnDeadline::Partial);
+            let result = service.select_with(next_request(), &token, OnDeadline::Partial);
             partial.borrow_mut().push(t.elapsed());
             trips += 1;
             match &result {
@@ -111,7 +129,7 @@ fn bench_cancellation(c: &mut Criterion) {
             let token = CancelToken::new();
             let worker = {
                 let service = Arc::clone(&service);
-                let request = request.clone();
+                let request = next_request().clone();
                 let token = token.clone();
                 std::thread::spawn(move || {
                     service

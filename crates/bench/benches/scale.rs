@@ -12,8 +12,12 @@
 //! * **resident bytes** — the CSR influence artifact as allocated, plus
 //!   the all-artifact total the pool accounts
 //!   ([`grain_core::ArtifactBytes`]);
-//! * **warm selection latency** — repeated selections over warm
-//!   artifacts, the steady-state serving cost;
+//! * **warm selection latency** — selections over warm artifacts that
+//!   each run greedy (two γ values alternate, so every request misses the
+//!   engine's greedy trace; under `NoDiversity` γ does not change the
+//!   answer), the steady-state serving cost of a new greedy-stage input;
+//! * **warm hit latency** — the same request repeated, answered by
+//!   slicing the cached greedy trace;
 //! * **CELF vs. plain evaluations** — marginal-gain evaluations the lazy
 //!   greedy spent against Algorithm 1's re-evaluate-everything count
 //!   (measured head-to-head on the warm engine up to n=1e5, computed in
@@ -126,20 +130,57 @@ fn run_rung(service: &GrainService, c: &mut Criterion, n: usize, cases: &mut Vec
         ],
     });
 
-    // Warm selections: the steady-state serving latency.
+    // Warm selections: the steady-state serving latency of a real greedy
+    // run. Alternating γ keys each request off the previous one's trace.
+    let alternate = SelectionRequest::new(
+        &graph_id,
+        GrainConfig {
+            gamma: 0.5,
+            ..scale_config()
+        },
+        Budget::Fixed(BUDGET),
+    );
     let mut group = c.benchmark_group("scale-warm-select");
     group.sample_size(if n >= 1_000_000 { 3 } else { 5 });
     let warm = RefCell::new(Vec::new());
+    let mut turn = 0usize;
     group.bench_function(BenchmarkId::from_parameter(n), |b| {
         b.iter(|| {
+            turn += 1;
+            let next = if turn % 2 == 0 { &request } else { &alternate };
             let t = Instant::now();
-            let report = service.select(&request).expect("warm request succeeds");
+            let report = service.select(next).expect("warm request succeeds");
             warm.borrow_mut().push(t.elapsed());
             assert!(report.fully_warm(), "rung n={n} must serve warm");
+            assert_eq!(
+                report.artifact_builds.greedy_runs, 1,
+                "rung n={n} must miss"
+            );
             std::hint::black_box(report.outcome().selected.len())
         })
     });
     group.finish();
+
+    // Warm hits: the repeated request is sliced from the greedy trace.
+    service.select(&request).expect("trace primes");
+    let mut group = c.benchmark_group("scale-warm-select-hit");
+    group.sample_size(if n >= 1_000_000 { 3 } else { 5 });
+    let hits = RefCell::new(Vec::new());
+    group.bench_function(BenchmarkId::from_parameter(n), |b| {
+        b.iter(|| {
+            let t = Instant::now();
+            let report = service.select(&request).expect("warm request succeeds");
+            hits.borrow_mut().push(t.elapsed());
+            assert_eq!(report.artifact_builds.greedy_runs, 0, "rung n={n} must hit");
+            std::hint::black_box(report.outcome().selected.len())
+        })
+    });
+    group.finish();
+    cases.push(Case {
+        name: format!("warm-select-hit/{n}"),
+        samples: hits.into_inner(),
+        metrics: vec![("n", n as f64)],
+    });
 
     // CELF efficiency: lazy evaluations vs. Algorithm 1's count.
     let lazy_evals = outcome.evaluations;

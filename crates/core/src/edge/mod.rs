@@ -344,7 +344,13 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn accept_loop(listener: &TcpListener, shared: &Arc<EdgeShared>) {
     loop {
         let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
+            Ok((stream, _)) => {
+                // Responses go out as soon as they are written: without
+                // this, Nagle holds a reply until the client's delayed
+                // ACK arrives under pipelined traffic.
+                stream.set_nodelay(true).ok();
+                stream
+            }
             Err(_) => {
                 if shared.shutting_down.load(Ordering::Acquire) {
                     return;

@@ -13,12 +13,22 @@
 //! | activation index `act[u]` | rows + `theta` |
 //! | ball membership lists | embedding + `radius` |
 //! | NN `d_max` constant | embedding |
+//! | greedy trace | `gamma`, `diversity`, `algorithm`, `prune`, variant + the post-prune candidate pool (and every artifact above) |
 //!
 //! — and only the greedy maximization varies with `budget` and the
 //! ablation variant. [`SelectionEngine`] materializes each artifact once,
 //! keyed by exactly the fields above, and reuses it across `select` calls:
 //! a budget sweep, a γ/θ sensitivity scan, or a serving loop answering
 //! many selection requests over one corpus pays the heavy stages once.
+//!
+//! The greedy stage itself never reads the budget inside a round, so the
+//! budget-`b` answer is the first `b` rounds of any longer run. The engine
+//! keeps one budget-free **greedy trace** — the picks, `F(S)`, `D(S)` and
+//! cumulative evaluations after every round, plus the round in which each
+//! node of `σ` was first activated — and answers every budget the trace
+//! covers by slicing it, bit-identically to a fresh run. A larger budget,
+//! another candidate pool, or another greedy-stage field runs greedy again
+//! and replaces the trace; any artifact change drops it.
 //!
 //! The artifact hot paths (propagation SpMM rounds, influence rows, the
 //! activation-index inversion, ball lists, NN `d_max`) run over
@@ -28,12 +38,12 @@
 //! not part of any cache key or of the artifact fingerprint.
 
 use crate::cancel::{CancelCause, CancelToken, OnDeadline};
-use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm};
+use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm, PruneStrategy};
 use crate::diversity::{BallDiversity, DiversityFunction, NnDiversity, NullDiversity};
 use crate::error::{DeadlineStage, GrainError, GrainResult};
 use crate::fault;
 use crate::greedy::{lazy_greedy, plain_greedy};
-use crate::objective::{DimObjective, DiversityScope};
+use crate::objective::{DimObjective, DiversityScope, MarginalObjective};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
@@ -88,6 +98,10 @@ pub struct EngineStats {
     pub diversity_builds: usize,
     /// `select` calls answered.
     pub selections: usize,
+    /// Real greedy executions. Answers sliced from the cached greedy
+    /// trace do not count, so a warm budget sweep adds exactly one. Not an
+    /// artifact build: [`EngineStats::total_builds`] leaves it out.
+    pub greedy_runs: usize,
 }
 
 impl EngineStats {
@@ -104,6 +118,7 @@ impl EngineStats {
             index_builds: self.index_builds - earlier.index_builds,
             diversity_builds: self.diversity_builds - earlier.diversity_builds,
             selections: self.selections - earlier.selections,
+            greedy_runs: self.greedy_runs - earlier.greedy_runs,
         }
     }
 
@@ -142,6 +157,10 @@ pub struct ArtifactBytes {
     pub activation_index: usize,
     /// Ball membership lists (per-ball `Vec` headers + entries).
     pub balls: usize,
+    /// The cached greedy trace: its candidate-pool key plus every
+    /// per-round and per-`σ`-node record. Grows with the trace's length;
+    /// zero once the trace is invalidated.
+    pub greedy_trace: usize,
 }
 
 impl ArtifactBytes {
@@ -154,6 +173,7 @@ impl ArtifactBytes {
             + self.influence_rows
             + self.activation_index
             + self.balls
+            + self.greedy_trace
     }
 }
 
@@ -161,6 +181,148 @@ impl ArtifactBytes {
 /// per-selection `BallDiversity` instances without copying; the union
 /// coverage bound rides along so warm selects touch no list.
 type BallCache = Option<((KernelKey, u32), (Arc<Vec<Vec<u32>>>, usize))>;
+
+/// The greedy-stage inputs a cached trace answers for: every config field
+/// that steers the maximization without touching an artifact, the
+/// effective variant, and the exact post-prune candidate pool (compared
+/// element by element). Artifact fields are not part of the key — an
+/// artifact change drops the trace instead.
+#[derive(PartialEq)]
+struct TraceKey {
+    gamma: u64,
+    diversity: DiversityKind,
+    algorithm: GreedyAlgorithm,
+    prune: Option<PruneStrategy>,
+    variant: GrainVariant,
+    pool: Vec<u32>,
+}
+
+impl TraceKey {
+    fn new(config: &GrainConfig, variant: GrainVariant, pool: Vec<u32>) -> Self {
+        Self {
+            gamma: config.gamma.to_bits(),
+            diversity: config.diversity,
+            algorithm: config.algorithm,
+            prune: config.prune,
+            variant,
+            pool,
+        }
+    }
+}
+
+/// One budget-free greedy run under the engine's current artifacts,
+/// recorded so that every budget it covers is answered by slicing. Each
+/// slice is bit-identical to a fresh run at that budget in every
+/// [`SelectionOutcome`] field except the timings.
+///
+/// A run cancelled mid-greedy may be kept too: its picks are an exact
+/// prefix of the uncancelled run (see [`crate::greedy::GreedyTrace`]), so
+/// it answers every budget up to its length.
+struct PrefixTrace {
+    key: TraceKey,
+    /// Picks in order.
+    selected: Vec<u32>,
+    /// `F(S)` after each pick.
+    objective_trace: Vec<f64>,
+    /// `D(S)` after 0, 1, …, `selected.len()` picks.
+    diversity: Vec<f64>,
+    /// Cumulative evaluations after 0, 1, …, `selected.len()` picks.
+    evaluations: Vec<usize>,
+    /// `σ` of the whole trace, sorted.
+    sigma: Vec<u32>,
+    /// The 0-based pick that first activated each node of `sigma`, so
+    /// `σ(S_b)` is the nodes whose round is below `b`.
+    sigma_round: Vec<u32>,
+    /// The run stopped because candidates ran out: every larger budget
+    /// has the same answer.
+    exhausted: bool,
+}
+
+impl PrefixTrace {
+    fn answers(&self, budget: usize) -> bool {
+        budget <= self.selected.len() || self.exhausted
+    }
+
+    /// The outcome of a fresh run at `budget` (timings left zero).
+    fn slice(&self, budget: usize) -> SelectionOutcome {
+        let b = budget.min(self.selected.len());
+        SelectionOutcome {
+            selected: self.selected[..b].to_vec(),
+            objective_trace: self.objective_trace[..b].to_vec(),
+            sigma: self
+                .sigma
+                .iter()
+                .zip(&self.sigma_round)
+                .filter(|&(_, &round)| (round as usize) < b)
+                .map(|(&v, _)| v)
+                .collect(),
+            diversity_value: self.diversity[b],
+            evaluations: self.evaluations[b],
+            candidates_after_prune: self.key.pool.len(),
+            timings: SelectionTimings::default(),
+            completion: Completion::Complete,
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.key.pool.len() + self.selected.len() + self.sigma.len() + self.sigma_round.len())
+            * size_of::<u32>()
+            + (self.objective_trace.len() + self.diversity.len()) * size_of::<f64>()
+            + self.evaluations.len() * size_of::<usize>()
+    }
+}
+
+/// The DIM objective with `D(S)` recorded after every pick — the one
+/// per-round quantity greedy does not report itself.
+struct RecordDiversity<O> {
+    objective: O,
+    after_pick: Vec<f64>,
+}
+
+impl<D: DiversityFunction> MarginalObjective for RecordDiversity<DimObjective<'_, D>> {
+    fn marginal_gain(&mut self, candidate: u32) -> f64 {
+        self.objective.marginal_gain(candidate)
+    }
+
+    fn add(&mut self, candidate: u32) {
+        self.objective.add(candidate);
+        self.after_pick.push(self.objective.diversity_value());
+    }
+
+    fn value(&self) -> f64 {
+        self.objective.value()
+    }
+}
+
+/// Bit equality of two outcomes in every field but the timings.
+fn same_answer(a: &SelectionOutcome, b: &SelectionOutcome) -> bool {
+    let bits = |trace: &[f64]| trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    a.selected == b.selected
+        && bits(&a.objective_trace) == bits(&b.objective_trace)
+        && a.sigma == b.sigma
+        && a.diversity_value.to_bits() == b.diversity_value.to_bits()
+        && a.evaluations == b.evaluations
+        && a.candidates_after_prune == b.candidates_after_prune
+        && a.completion == b.completion
+}
+
+/// For each node of the sorted `sigma`, the 0-based pick that first
+/// activated it: a post-pass over `act[s]` of the picks.
+fn first_activation_rounds(index: &ActivationIndex, picks: &[u32], sigma: &[u32]) -> Vec<u32> {
+    let mut rounds = vec![u32::MAX; sigma.len()];
+    for (round, &seed) in picks.iter().enumerate() {
+        for v in index.activated_by(seed as usize) {
+            let pos = sigma
+                .binary_search(v)
+                .expect("σ(S) holds every node its seeds activate");
+            if rounds[pos] == u32::MAX {
+                rounds[pos] = round as u32;
+            }
+        }
+    }
+    rounds
+}
 
 /// Staged Grain pipeline with per-artifact caching over one (graph,
 /// features) pair.
@@ -185,6 +347,7 @@ pub struct SelectionEngine {
     index: Option<((KernelKey, u32, usize, ThetaRule), ActivationIndex)>,
     balls: BallCache,
     nn_dmax: Option<(KernelKey, f32)>,
+    trace: Option<PrefixTrace>,
     stats: EngineStats,
 }
 
@@ -225,6 +388,7 @@ impl SelectionEngine {
             index: None,
             balls: None,
             nn_dmax: None,
+            trace: None,
             stats: EngineStats::default(),
         })
     }
@@ -325,6 +489,7 @@ impl SelectionEngine {
             self.config.influence_row_top_k,
         );
         self.rows = Some((key, rows));
+        self.trace = None;
         true
     }
 
@@ -341,6 +506,7 @@ impl SelectionEngine {
             self.config.theta,
         );
         self.index = Some((key, index));
+        self.trace = None;
         true
     }
 
@@ -374,9 +540,14 @@ impl SelectionEngine {
     /// Swaps the configuration, keeping every cached artifact whose key
     /// fields are unchanged. Artifacts are rebuilt lazily on the next
     /// `select`, so sweeping e.g. `gamma` or `budget` rebuilds nothing and
-    /// sweeping `theta` rebuilds only the activation index.
+    /// sweeping `theta` rebuilds only the activation index. A change to
+    /// any artifact field also drops the greedy trace; greedy-stage fields
+    /// are part of the trace's key instead.
     pub fn set_config(&mut self, config: GrainConfig) -> GrainResult<()> {
         config.validate()?;
+        if config.artifact_fingerprint() != self.config.artifact_fingerprint() {
+            self.trace = None;
+        }
         self.config = config;
         Ok(())
     }
@@ -389,7 +560,8 @@ impl SelectionEngine {
     /// Exact resident heap bytes of every currently cached artifact —
     /// the measurement seam for size-aware pool accounting. Not-yet-built
     /// artifacts count zero, so a cold engine reports all zeros and the
-    /// count grows monotonically as `select` materializes stages.
+    /// count grows as `select` materializes stages and lengthens the
+    /// greedy trace.
     pub fn artifact_bytes(&self) -> ArtifactBytes {
         let dense_bytes = |m: &DenseMatrix| m.rows() * m.cols() * std::mem::size_of::<f32>();
         let transition = self.transition.as_ref().map_or(0, |(_, t)| {
@@ -413,6 +585,7 @@ impl SelectionEngine {
             influence_rows,
             activation_index,
             balls,
+            greedy_trace: self.trace.as_ref().map_or(0, PrefixTrace::resident_bytes),
         }
     }
 
@@ -447,29 +620,38 @@ impl SelectionEngine {
     /// [`SelectionEngine::select_variant`] under cooperative cancellation.
     ///
     /// `cancel` is polled at every stage boundary (before the propagation,
-    /// influence-row, and activation-index builds), **between SpMM power
-    /// steps** inside propagation, **every 64 rows** inside the
-    /// influence-row build, and inside greedy at every round boundary plus
-    /// every [`GrainConfig::cancel_check_every`] marginal-gain evaluations
-    /// — so a trip is observed within one greedy round or one check block,
-    /// whichever comes first.
+    /// influence-row, and activation-index builds, and before the greedy
+    /// stage), **between SpMM power steps** inside propagation, **every 64
+    /// rows** inside the influence-row build, and inside greedy at every
+    /// round boundary plus every [`GrainConfig::cancel_check_every`]
+    /// marginal-gain evaluations — so a trip is observed within one greedy
+    /// round or one check block, whichever comes first.
     ///
-    /// What a trip produces depends on *why* the token tripped and on the
-    /// caller's degradation policy:
+    /// What a trip produces depends on *why* the token tripped, on the
+    /// caller's degradation policy, and on whether the cached greedy trace
+    /// answers the request (a *hit*: same greedy-stage fields and
+    /// candidate pool, and a budget the trace covers):
     ///
     /// | cause | stage | result |
     /// |---|---|---|
     /// | caller ([`CancelToken::cancel`]) | any | [`GrainError::Cancelled`] |
     /// | deadline, [`OnDeadline::Fail`] | any | [`GrainError::DeadlineExceeded`] (`MidSelection`) |
-    /// | deadline, [`OnDeadline::Partial`] | artifact build | [`GrainError::DeadlineExceeded`] (`MidSelection`) |
-    /// | deadline, [`OnDeadline::Partial`] | greedy | `Ok` with [`Completion::Partial`] |
+    /// | deadline, [`OnDeadline::Partial`] | artifact build, or before greedy (hit or miss) | [`GrainError::DeadlineExceeded`] (`MidSelection`) |
+    /// | deadline, [`OnDeadline::Partial`] | greedy (miss only) | `Ok` with [`Completion::Partial`] |
+    ///
+    /// A hit runs no greedy round, so it has no greedy stage to trip in:
+    /// it is sliced from the trace and always [`Completion::Complete`],
+    /// but a token that tripped before the greedy stage still fails it
+    /// with the typed error above.
     ///
     /// Artifact builds are **never** partial: a build that observes the
     /// trip caches nothing, so the next request starts a fresh, complete
     /// build. A partial greedy result is byte-for-byte a prefix of the
     /// uncancelled run at the same config — submodularity makes the prefix
     /// a valid anytime answer with the `(1 - 1/e)` bound at its smaller
-    /// effective budget (see [`SelectionOutcome::effective_budget`]).
+    /// effective budget (see [`SelectionOutcome::effective_budget`]). A
+    /// cancelled miss keeps that exact prefix as the greedy trace when it
+    /// is longer than the trace it replaces.
     ///
     /// An untripped token changes no bit of the result relative to
     /// [`SelectionEngine::select_variant`].
@@ -477,6 +659,98 @@ impl SelectionEngine {
     /// # Panics
     /// Panics if a candidate id is out of range.
     pub fn select_with_cancel(
+        &mut self,
+        variant: GrainVariant,
+        candidates: &[u32],
+        budget: usize,
+        cancel: &CancelToken,
+        on_deadline: OnDeadline,
+    ) -> GrainResult<SelectionOutcome> {
+        let outcome = self.answer(variant, candidates, budget, cancel, on_deadline)?;
+        self.stats.selections += 1;
+        Ok(outcome)
+    }
+
+    /// Runs one warm budget sweep: one selection per budget, all sharing
+    /// the cached artifacts and one greedy run. Selections are
+    /// bit-identical to independent one-shot runs at the same budgets.
+    pub fn select_budgets(
+        &mut self,
+        candidates: &[u32],
+        budgets: &[usize],
+    ) -> Vec<SelectionOutcome> {
+        self.select_budgets_with_cancel(
+            self.config.variant,
+            candidates,
+            budgets,
+            &CancelToken::new(),
+            OnDeadline::Fail,
+        )
+        .expect("a sweep with an untripped token cannot be cancelled")
+    }
+
+    /// [`SelectionEngine::select_budgets`] under cooperative cancellation,
+    /// with the variant overridden for this call.
+    ///
+    /// Greedy runs at most once, at the largest budget (or not at all when
+    /// the cached trace already covers it); every entry is then sliced from
+    /// the trace, in the order given. A trip inside that one greedy run
+    /// follows [`SelectionEngine::select_with_cancel`]: under
+    /// [`OnDeadline::Partial`] the entries the kept prefix covers are
+    /// answered complete, the first entry it does not cover receives the
+    /// partial outcome (exactly what a fresh run at that budget would have
+    /// returned on the same trip), and the sweep stops there — so the
+    /// result may be shorter than `budgets`. Every other trip is the
+    /// request's typed error.
+    ///
+    /// # Panics
+    /// Panics if a candidate id is out of range.
+    pub fn select_budgets_with_cancel(
+        &mut self,
+        variant: GrainVariant,
+        candidates: &[u32],
+        budgets: &[usize],
+        cancel: &CancelToken,
+        on_deadline: OnDeadline,
+    ) -> GrainResult<Vec<SelectionOutcome>> {
+        let Some(&largest) = budgets.iter().max() else {
+            return Ok(Vec::new());
+        };
+        let mut largest_outcome =
+            Some(self.answer(variant, candidates, largest, cancel, on_deadline)?);
+        // `answer` leaves either no trace or this request's trace behind.
+        let mut outcomes = Vec::with_capacity(budgets.len());
+        for &budget in budgets {
+            let t0 = Instant::now();
+            let outcome = match self.trace.as_ref().filter(|t| t.answers(budget)) {
+                // The run at the largest budget already answers this entry.
+                _ if budget == largest && largest_outcome.is_some() => largest_outcome.take(),
+                Some(trace) => {
+                    let mut outcome = trace.slice(budget);
+                    outcome.timings.greedy = t0.elapsed();
+                    outcome.timings.total = outcome.timings.greedy;
+                    Some(outcome)
+                }
+                // Only a run cut short leaves an entry uncovered, and a
+                // fresh run at this budget would have stopped at that trip.
+                None => largest_outcome.take(),
+            }
+            .expect("an uncovered entry ends the sweep");
+            let partial = outcome.is_partial();
+            outcomes.push(outcome);
+            if partial {
+                break;
+            }
+        }
+        self.stats.selections += outcomes.len();
+        Ok(outcomes)
+    }
+
+    /// One selection: stages 1–3, then greedy — sliced from the cached
+    /// trace on a hit, run (and recorded as the new trace) on a miss.
+    /// Counts no selection. On `Ok` the trace slot holds either nothing or
+    /// a trace keyed by this request.
+    fn answer(
         &mut self,
         variant: GrainVariant,
         candidates: &[u32],
@@ -507,7 +781,7 @@ impl SelectionEngine {
         let t2 = Instant::now();
         self.ensure_index(cancel)?;
         self.ensure_embedding();
-        let diversity = self.build_diversity(variant, cancel)?;
+        let diversity = self.ensure_diversity(variant, cancel)?;
         // §3.4 candidate pruning is per-pool, not a cached artifact.
         let rows = &self.rows.as_ref().expect("rows ensured").1;
         let pool: Vec<u32> = match self.config.prune {
@@ -521,22 +795,79 @@ impl SelectionEngine {
         // degrade to a partial (anytime) result instead of failing.
         let t3 = Instant::now();
         cancel.checkpoint()?;
+        let key = TraceKey::new(&self.config, variant, pool);
+        let timings = |greedy: Duration| SelectionTimings {
+            propagation,
+            influence,
+            indexing,
+            greedy,
+            total: t0.elapsed(),
+        };
+        if let Some(trace) = self
+            .trace
+            .as_ref()
+            .filter(|t| t.key == key && t.answers(budget))
+        {
+            let mut outcome = trace.slice(budget);
+            outcome.timings = timings(t3.elapsed());
+            return Ok(outcome);
+        }
+
         let (scope, magnitude_weight, gamma) = variant_parameters(variant, self.config.gamma);
         let index = &self.index.as_ref().expect("index ensured").1;
-        let mut objective =
-            DimObjective::with_variant(index, diversity, gamma, magnitude_weight, scope);
+        let objective = DimObjective::with_variant(
+            index,
+            self.diversity_state(diversity),
+            gamma,
+            magnitude_weight,
+            scope,
+        );
+        let mut recorded = RecordDiversity {
+            after_pick: vec![objective.diversity_value()],
+            objective,
+        };
         let check_every = self.config.cancel_check_every;
-        let trace = match self.config.algorithm {
+        let run = match self.config.algorithm {
             GreedyAlgorithm::Plain => {
-                plain_greedy(&mut objective, &pool, budget, cancel, check_every)
+                plain_greedy(&mut recorded, &key.pool, budget, cancel, check_every)
             }
             GreedyAlgorithm::Lazy => {
-                lazy_greedy(&mut objective, &pool, budget, cancel, check_every)
+                lazy_greedy(&mut recorded, &key.pool, budget, cancel, check_every)
             }
         };
         let greedy = t3.elapsed();
+        self.stats.greedy_runs += 1;
+        let objective = recorded.objective;
+        let sigma = objective.sigma();
+        let diversity_value = objective.diversity_value();
+        let candidates_after_prune = key.pool.len();
 
-        let completion = match trace.cancelled {
+        // Keep the run as the trace unless a longer one for the same key
+        // is already cached (only a cancelled run can be shorter; an
+        // equally long run may newly know it exhausted the pool). A lazy
+        // run cancelled while seeding its heap has no round-0 count and
+        // leaves no trace.
+        let picks = run.selected.len();
+        let keep_cached = self
+            .trace
+            .as_ref()
+            .is_some_and(|t| t.key == key && t.selected.len() > picks);
+        if !keep_cached {
+            self.trace = (run.round_evaluations.len() == picks + 1).then(|| PrefixTrace {
+                // A complete run stops short of its budget, or picks the
+                // whole pool, only when the candidates ran out.
+                exhausted: run.cancelled.is_none() && (picks < budget || picks == key.pool.len()),
+                sigma_round: first_activation_rounds(index, &run.selected, &sigma),
+                sigma: sigma.clone(),
+                selected: run.selected.clone(),
+                objective_trace: run.objective_trace.clone(),
+                diversity: recorded.after_pick,
+                evaluations: run.round_evaluations,
+                key,
+            });
+        }
+
+        let completion = match run.cancelled {
             None => Completion::Complete,
             Some(CancelCause::Deadline) if on_deadline == OnDeadline::Partial => {
                 Completion::Partial {
@@ -551,37 +882,25 @@ impl SelectionEngine {
             Some(CancelCause::Caller) => return Err(GrainError::Cancelled),
         };
 
-        self.stats.selections += 1;
-        Ok(SelectionOutcome {
-            sigma: objective.sigma(),
-            diversity_value: objective.diversity_value(),
-            selected: trace.selected,
-            objective_trace: trace.objective_trace,
-            evaluations: trace.evaluations,
-            candidates_after_prune: pool.len(),
+        let outcome = SelectionOutcome {
+            sigma,
+            diversity_value,
+            selected: run.selected,
+            objective_trace: run.objective_trace,
+            evaluations: run.evaluations,
+            candidates_after_prune,
             completion,
-            timings: SelectionTimings {
-                propagation,
-                influence,
-                indexing,
-                greedy,
-                total: t0.elapsed(),
-            },
-        })
-    }
-
-    /// Runs one warm budget sweep: `select` at each budget in turn, all
-    /// sharing the cached artifacts. Selections are bit-identical to
-    /// independent one-shot runs at the same budgets.
-    pub fn select_budgets(
-        &mut self,
-        candidates: &[u32],
-        budgets: &[usize],
-    ) -> Vec<SelectionOutcome> {
-        budgets
-            .iter()
-            .map(|&b| self.select(candidates, b))
-            .collect()
+            timings: timings(greedy),
+        };
+        debug_assert!(
+            completion != Completion::Complete
+                || self
+                    .trace
+                    .as_ref()
+                    .is_some_and(|t| t.answers(budget) && same_answer(&t.slice(budget), &outcome)),
+            "a complete run must be reproducible from the trace it leaves"
+        );
+        Ok(outcome)
     }
 
     /// The L2-normalized rows of `X^(k)` under the active kernel (built
@@ -645,7 +964,8 @@ impl SelectionEngine {
     ///   select that needs them).
     ///
     /// Only artifacts cached under the *active* config are migrated; stale
-    /// cache slots from earlier configs are dropped. Callers must not
+    /// cache slots from earlier configs are dropped, and so is the greedy
+    /// trace (the new epoch's engine starts without one). Callers must not
     /// invoke this for triangle-induced kernels (a single edge edit can
     /// dirty every triangle count, so those engines rebuild cold).
     pub(crate) fn patched(
@@ -757,6 +1077,7 @@ impl SelectionEngine {
             index,
             balls: None,
             nn_dmax: None,
+            trace: None,
             stats,
         };
         (engine, timings)
@@ -858,6 +1179,7 @@ impl SelectionEngine {
         let rows = &self.rows.as_ref().expect("rows ensured").1;
         let index = ActivationIndex::build(rows, self.config.theta, self.config.parallelism);
         self.index = Some((key, index));
+        self.trace = None;
         self.stats.index_builds += 1;
         Ok(())
     }
@@ -872,6 +1194,7 @@ impl SelectionEngine {
                 distance::radius_neighbors(embedding, self.config.radius, self.config.parallelism);
             let bound = BallDiversity::union_size(&balls, self.graph.num_nodes());
             self.balls = Some((key, (Arc::new(balls), bound)));
+            self.trace = None;
             self.stats.diversity_builds += 1;
         }
         Ok(())
@@ -888,28 +1211,39 @@ impl SelectionEngine {
                 self.config.parallelism,
             );
             self.nn_dmax = Some((key, dmax));
+            self.trace = None;
             self.stats.diversity_builds += 1;
         }
         Ok(())
     }
 
-    /// A fresh per-selection diversity state over the cached precompute
-    /// (greedy consumes diversity state, so each call copies only the
-    /// incremental state; the precompute itself is `Arc`-shared).
-    fn build_diversity(
+    /// Ensures the diversity precompute `variant` needs, returning its
+    /// kind (`None` for the diversity-free ablation).
+    fn ensure_diversity(
         &mut self,
         variant: GrainVariant,
         cancel: &CancelToken,
-    ) -> GrainResult<Box<dyn DiversityFunction + Send>> {
+    ) -> GrainResult<Option<DiversityKind>> {
         let kind = match variant {
-            GrainVariant::NoDiversity => return Ok(Box::new(NullDiversity)),
+            GrainVariant::NoDiversity => return Ok(None),
             // Both seed-scoped ablations are defined on ball coverage.
             GrainVariant::NoMagnitude | GrainVariant::ClassicCoverage => DiversityKind::Ball,
             GrainVariant::Full => self.config.diversity,
         };
-        Ok(match kind {
-            DiversityKind::Ball => {
-                self.ensure_balls(cancel)?;
+        match kind {
+            DiversityKind::Ball => self.ensure_balls(cancel)?,
+            DiversityKind::Nn => self.ensure_nn_dmax(cancel)?,
+        }
+        Ok(Some(kind))
+    }
+
+    /// A fresh per-selection diversity state over the ensured precompute
+    /// (greedy consumes diversity state, so each call copies only the
+    /// incremental state; the precompute itself is `Arc`-shared).
+    fn diversity_state(&self, kind: Option<DiversityKind>) -> Box<dyn DiversityFunction + Send> {
+        match kind {
+            None => Box::new(NullDiversity),
+            Some(DiversityKind::Ball) => {
                 let (balls, bound) = self.balls.as_ref().expect("balls ensured").1.clone();
                 Box::new(BallDiversity::from_shared_with_bound(
                     balls,
@@ -917,13 +1251,12 @@ impl SelectionEngine {
                     bound,
                 ))
             }
-            DiversityKind::Nn => {
-                self.ensure_nn_dmax(cancel)?;
+            Some(DiversityKind::Nn) => {
                 let dmax = self.nn_dmax.as_ref().expect("dmax ensured").1;
                 let embedding = Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1);
                 Box::new(NnDiversity::from_parts(embedding, dmax))
             }
-        })
+        }
     }
 }
 
@@ -1004,6 +1337,66 @@ mod tests {
                 "budget {budget}"
             );
         }
+    }
+
+    #[test]
+    fn warm_sweep_runs_greedy_once() {
+        let (g, x) = dataset(2);
+        let candidates: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let cfg = GrainConfig::ball_d();
+        let mut engine = SelectionEngine::new(cfg, &g, &x).unwrap();
+        engine.select(&candidates, 2);
+        let before = engine.stats();
+        let budgets = [9usize, 3, 15, 6, 12];
+        let warm = engine.select_budgets(&candidates, &budgets);
+        let delta = engine.stats().delta_since(&before);
+        assert_eq!(delta.greedy_runs, 1, "one greedy run answers the sweep");
+        assert_eq!(delta.selections, budgets.len());
+        assert_eq!(delta.total_builds(), 0);
+        for (outcome, &budget) in warm.iter().zip(&budgets) {
+            let fresh = SelectionEngine::new(cfg, &g, &x)
+                .unwrap()
+                .select(&candidates, budget);
+            assert_eq!(outcome.selected, fresh.selected, "budget {budget}");
+            assert_eq!(outcome.objective_trace, fresh.objective_trace);
+            assert_eq!(outcome.sigma, fresh.sigma, "budget {budget}");
+            assert_eq!(
+                outcome.diversity_value.to_bits(),
+                fresh.diversity_value.to_bits()
+            );
+            assert_eq!(outcome.evaluations, fresh.evaluations, "budget {budget}");
+            assert_eq!(outcome.candidates_after_prune, fresh.candidates_after_prune);
+            assert_eq!(outcome.completion, Completion::Complete);
+        }
+        // Every budget the trace covers is now a hit.
+        engine.select_budgets(&candidates, &[1, 15, 0]);
+        assert_eq!(engine.stats().greedy_runs, before.greedy_runs + 1);
+    }
+
+    #[test]
+    fn greedy_trace_bytes_grow_with_length_and_drop_on_invalidation() {
+        let (g, x) = dataset(16);
+        let candidates: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
+        engine.select(&candidates, 4);
+        let short = engine.artifact_bytes();
+        assert!(short.greedy_trace > 0);
+        assert!(short.total() > short.greedy_trace);
+        // A hit leaves the trace as it is; a longer run lengthens it.
+        engine.select(&candidates, 2);
+        assert_eq!(engine.artifact_bytes(), short);
+        engine.select(&candidates, 12);
+        let long = engine.artifact_bytes();
+        assert!(long.greedy_trace > short.greedy_trace);
+        assert_eq!(
+            long.total() - long.greedy_trace,
+            short.total() - short.greedy_trace
+        );
+        // An artifact-field change invalidates the trace at once.
+        let mut cfg = *engine.config();
+        cfg.theta = ThetaRule::RelativeToRowMax(0.4);
+        engine.set_config(cfg).unwrap();
+        assert_eq!(engine.artifact_bytes().greedy_trace, 0);
     }
 
     #[test]
@@ -1100,9 +1493,11 @@ mod tests {
         engine.set_config(cfg).unwrap();
         engine.select(&candidates, 11);
         let after = engine.stats();
+        // A new γ is a new greedy-trace key: greedy runs, nothing builds.
         assert_eq!(
             EngineStats {
                 selections: before.selections + 1,
+                greedy_runs: before.greedy_runs + 1,
                 ..before
             },
             after
@@ -1246,6 +1641,7 @@ mod tests {
                 + bytes.influence_rows
                 + bytes.activation_index
                 + bytes.balls
+                + bytes.greedy_trace
         });
         // Truncation shrinks the influence artifact.
         let mut cfg = *engine.config();

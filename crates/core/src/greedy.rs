@@ -11,6 +11,14 @@ use crate::fault;
 use crate::objective::MarginalObjective;
 
 /// Outcome of a greedy run.
+///
+/// Neither algorithm reads the budget inside a round, so a run with
+/// budget `b` is exactly the first `b` rounds of any run with a larger
+/// budget over the same objective and candidates. [`GreedyTrace::selected`],
+/// [`GreedyTrace::objective_trace`] and [`GreedyTrace::round_evaluations`]
+/// therefore answer every smaller budget by slicing — which is how
+/// [`crate::engine::SelectionEngine`] serves warm requests from one cached
+/// run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GreedyTrace {
     /// Selected seeds in pick order.
@@ -19,11 +27,19 @@ pub struct GreedyTrace {
     pub objective_trace: Vec<f64>,
     /// Number of marginal-gain evaluations performed.
     pub evaluations: usize,
+    /// Cumulative evaluations at each round boundary: entry 0 is the
+    /// count before the first pick (CELF's heap seeding, 0 for plain
+    /// greedy) and entry `i` the count at the `i`-th pick's acceptance —
+    /// exactly the `evaluations` a run with budget `i` reports. Length
+    /// `selected.len() + 1`, except that a lazy run cancelled while
+    /// seeding its heap leaves it empty.
+    pub round_evaluations: Vec<usize>,
     /// `Some(cause)` if the run stopped early at a cooperative
-    /// cancellation checkpoint. The picks made so far are byte-for-byte
-    /// a prefix of the uncancelled run: checkpoints sit at round
-    /// boundaries and between evaluations, never between choosing a
-    /// candidate and committing it.
+    /// cancellation checkpoint. The picks made so far (and their
+    /// `round_evaluations`) are byte-for-byte a prefix of the uncancelled
+    /// run: checkpoints sit at round boundaries and between evaluations,
+    /// never between choosing a candidate and committing it — so the
+    /// engine may keep a cancelled run as its cached trace.
     pub cancelled: Option<CancelCause>,
 }
 
@@ -53,6 +69,8 @@ pub fn plain_greedy(
     let mut selected = Vec::with_capacity(budget);
     let mut trace = Vec::with_capacity(budget);
     let mut evaluations = 0;
+    let mut round_evaluations = Vec::with_capacity(budget + 1);
+    round_evaluations.push(0);
     let mut cancelled = None;
     'rounds: for _ in 0..budget {
         fault::point("greedy.round", Some(cancel));
@@ -88,11 +106,13 @@ pub fn plain_greedy(
         objective.add(chosen);
         selected.push(chosen);
         trace.push(objective.value());
+        round_evaluations.push(evaluations);
     }
     GreedyTrace {
         selected,
         objective_trace: trace,
         evaluations,
+        round_evaluations,
         cancelled,
     }
 }
@@ -162,6 +182,10 @@ pub fn lazy_greedy(
     }
     let mut selected = Vec::with_capacity(budget);
     let mut trace = Vec::with_capacity(budget);
+    let mut round_evaluations = Vec::with_capacity(budget + 1);
+    if cancelled.is_none() {
+        round_evaluations.push(evaluations);
+    }
     let mut round = 0usize;
     while cancelled.is_none() && selected.len() < budget {
         let Some(top) = heap.pop() else { break };
@@ -177,6 +201,7 @@ pub fn lazy_greedy(
             objective.add(c);
             selected.push(c);
             trace.push(objective.value());
+            round_evaluations.push(evaluations);
             round += 1;
         } else {
             let c = (-top.neg_id) as u32;
@@ -199,6 +224,7 @@ pub fn lazy_greedy(
         selected,
         objective_trace: trace,
         evaluations,
+        round_evaluations,
         cancelled,
     }
 }
@@ -420,6 +446,42 @@ mod tests {
                     "{name} trip_at={trip_at}"
                 );
                 assert_eq!(got.cancelled, Some(CancelCause::Caller));
+                // A recorded prefix carries the uncancelled run's counts.
+                let recorded = got.round_evaluations.len();
+                assert!(
+                    recorded == 0 || recorded == got.selected.len() + 1,
+                    "{name} trip_at={trip_at}"
+                );
+                assert_eq!(
+                    got.round_evaluations,
+                    oracle.round_evaluations[..recorded],
+                    "{name} trip_at={trip_at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_evaluations_match_every_smaller_budget() {
+        let cands = [0u32, 1, 2, 3, 4];
+        for lazy in [false, true] {
+            let run = |budget: usize| {
+                let mut obj = toy();
+                let token = CancelToken::new();
+                if lazy {
+                    lazy_greedy(&mut obj, &cands, budget, &token, usize::MAX)
+                } else {
+                    plain_greedy(&mut obj, &cands, budget, &token, usize::MAX)
+                }
+            };
+            let full = run(cands.len());
+            assert_eq!(full.round_evaluations.len(), full.selected.len() + 1);
+            assert_eq!(full.round_evaluations.last(), Some(&full.evaluations));
+            for budget in 0..=full.selected.len() {
+                let short = run(budget);
+                assert_eq!(short.selected, full.selected[..budget], "lazy={lazy}");
+                assert_eq!(short.evaluations, full.round_evaluations[budget]);
+                assert_eq!(short.round_evaluations, full.round_evaluations[..=budget]);
             }
         }
     }

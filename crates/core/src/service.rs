@@ -49,7 +49,7 @@
 use crate::cancel::{CancelCause, CancelToken, OnDeadline};
 use crate::config::{GrainConfig, GrainVariant};
 use crate::engine::{ArtifactBytes, EngineStats, SelectionEngine};
-use crate::error::{DeadlineStage, GrainError, GrainResult};
+use crate::error::{GrainError, GrainResult};
 use crate::fault;
 use crate::selector::{Completion, SelectionOutcome};
 use crate::store::{ArtifactStore, ContentAddress, PendingArtifact};
@@ -78,7 +78,8 @@ pub enum Budget {
     /// at least one node.
     Fraction(f64),
     /// A budget sweep: one selection per entry, answered by a single warm
-    /// engine (entries clamped to the pool size).
+    /// engine and one greedy run at the largest entry (entries clamped to
+    /// the pool size).
     Sweep(Vec<usize>),
 }
 
@@ -1563,7 +1564,7 @@ impl GrainService {
     /// [`GrainService::select`] under cooperative cancellation.
     ///
     /// `cancel` is threaded into the engine
-    /// ([`SelectionEngine::select_with_cancel`]) and polled at artifact
+    /// ([`SelectionEngine::select_budgets_with_cancel`]) and polled at artifact
     /// stage boundaries, inside the parallel artifact builds, and at
     /// greedy checkpoints. `on_deadline` picks the degradation policy for
     /// deadline trips; an explicit [`CancelToken::cancel`] always fails
@@ -1619,31 +1620,16 @@ impl GrainService {
         let mut engine = checkout.lock();
         engine.set_config(config)?;
         let before = engine.stats();
-        let mut outcomes: Vec<SelectionOutcome> = Vec::with_capacity(budgets.len());
-        for &budget in &budgets {
-            match engine.select_with_cancel(
-                config.variant,
-                &candidates,
-                budget,
-                cancel,
-                on_deadline,
-            ) {
-                Ok(outcome) => {
-                    let partial = outcome.is_partial();
-                    outcomes.push(outcome);
-                    if partial {
-                        break; // the token stays tripped; later budgets cannot run
-                    }
-                }
-                // A deadline trip between sweep entries (or inside a later
-                // entry's artifact stage) under the Partial policy keeps
-                // the completed prefix of the sweep.
-                Err(GrainError::DeadlineExceeded {
-                    stage: DeadlineStage::MidSelection,
-                }) if on_deadline == OnDeadline::Partial && !outcomes.is_empty() => break,
-                Err(e) => return Err(e),
-            }
-        }
+        // Greedy runs once, at the largest budget; every entry is a slice
+        // of that run, and a mid-greedy trip under the Partial policy
+        // keeps the entries its prefix answers.
+        let outcomes = engine.select_budgets_with_cancel(
+            config.variant,
+            &candidates,
+            &budgets,
+            cancel,
+            on_deadline,
+        )?;
         // Decide completion before truncating: a sweep cut short between
         // budgets is partial even though its last outcome is complete.
         let completion = match outcomes.last() {

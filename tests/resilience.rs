@@ -268,7 +268,12 @@ mod fault_injection {
         let _guard = serialize();
         let service = service_with(&[("papers", 71)]);
         let budget = 10;
-        let oracle = service.select(&request("papers", budget)).unwrap();
+        // The oracle comes from a twin service: a select on `service`
+        // would cache a greedy trace that answers every faulted request
+        // below without running a greedy round.
+        let oracle = service_with(&[("papers", 71)])
+            .select(&request("papers", budget))
+            .unwrap();
         let full = &oracle.outcome().selected;
         assert_eq!(full.len(), budget);
 
@@ -342,7 +347,13 @@ mod fault_injection {
             ..GrainConfig::ball_d()
         };
         let req = SelectionRequest::new("papers", config, Budget::Fixed(10));
-        let full = service.select(&req).unwrap().outcome().selected.clone();
+        // Twin-service oracle: keeps the faulted request off the trace.
+        let full = service_with(&[("papers", 79)])
+            .select(&req)
+            .unwrap()
+            .outcome()
+            .selected
+            .clone();
 
         let _armed = Armed::arm("greedy.eval.block", Schedule::Nth(2), FaultAction::Cancel);
         let report = service
@@ -469,7 +480,8 @@ mod fault_injection {
         let _guard = serialize();
         let service = service_with(&[("papers", 97)]);
         let budget = 10;
-        let full = service
+        // Twin-service oracle: keeps the scheduled run off the trace.
+        let full = service_with(&[("papers", 97)])
             .select(&request("papers", budget))
             .unwrap()
             .outcome()
