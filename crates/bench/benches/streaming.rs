@@ -18,7 +18,12 @@
 //!   portion (propagation + influence + indexing stage timings);
 //! * **speedups** — apply vs. both cold numbers. The headline claim is
 //!   the 1-edge delta at n=1e5 applying ≥ 50× faster than the cold
-//!   artifact build.
+//!   artifact build;
+//! * **Ball-D fresh read** — on a separate n=4000 corpus (the all-pairs
+//!   ball build is `O(n²·d)`), the first Ball-D read after a 1-edge
+//!   update with the ball lists repaired from the changed embedding rows
+//!   against the same read with the lists rebuilt in full, the two
+//!   answers asserted equal.
 //!
 //! CI smoke: `GRAIN_DELTA_MAX_N` caps the ladder (e.g. `20000`) so the
 //! bench exercises every code path in seconds; the committed JSON comes
@@ -27,7 +32,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grain_bench::record::{summarize, write_json, Case};
 use grain_core::{
-    Budget, GrainConfig, GrainService, GrainVariant, GraphDelta, GreedyAlgorithm, SelectionRequest,
+    Budget, DiversityKind, GrainConfig, GrainService, GrainVariant, GraphDelta, GreedyAlgorithm,
+    SelectionRequest,
 };
 use grain_graph::{generators, Graph};
 use grain_linalg::DenseMatrix;
@@ -44,6 +50,8 @@ const SAMPLES: usize = 10;
 /// build pay one-time allocator growth and page faults that are not part
 /// of the steady-state apply path. Even, to preserve toggle parity.
 const WARMUP: usize = 4;
+/// Nodes of the Ball-D fresh-read case's corpus.
+const BALL_N: usize = 4_000;
 
 fn features(n: usize) -> DenseMatrix {
     let data: Vec<f32> = (0..n * FEATURE_DIM)
@@ -286,6 +294,107 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
     });
 }
 
+/// The first Ball-D read after a 1-edge update, timed two ways on the
+/// same patched engine: with the ball lists repaired from the embedding
+/// rows the update changed, then with them rebuilt in full (another
+/// radius's lists displace them first, so the read misses their key) —
+/// what every such read cost before repair. Both answers must agree.
+fn run_ball_read(cases: &mut Vec<Case>) {
+    let n = BALL_N;
+    let graph_id = format!("ba-ball-{n}");
+    let graph = generators::barabasi_albert(n, 4, 42);
+    // Centered features: propagation smooths all-positive rows towards
+    // one direction, which would put most of the corpus in every ball.
+    let mut x = features(n);
+    for row in 0..n {
+        x.row_mut(row).iter_mut().for_each(|v| *v -= 0.5);
+    }
+    let service = GrainService::with_capacity(2);
+    service
+        .register_graph(&graph_id, graph.clone(), x)
+        .expect("corpus registers");
+    let config = GrainConfig {
+        variant: GrainVariant::Full,
+        gamma: 1.0,
+        diversity: DiversityKind::Ball,
+        ..delta_config()
+    };
+    let other_radius = GrainConfig {
+        radius: config.radius * 2.0,
+        ..config
+    };
+    let request = SelectionRequest::new(&graph_id, config, Budget::Fixed(BUDGET));
+    service.select(&request).expect("warm-up select");
+    let all: Vec<u32> = (0..n as u32).collect();
+    let single = toggle_pairs(&graph, 1);
+    let (mut repair, mut rebuild, mut changed) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut repair_stage, mut rebuild_stage) = (Vec::new(), Vec::new());
+    for s in 0..SAMPLES {
+        let delta = if s % 2 == 0 {
+            insert_all(&single)
+        } else {
+            delete_all(&single)
+        };
+        let report = service
+            .apply_update(&graph_id, &delta)
+            .expect("delta applies");
+        changed.push(report.patched[0].changed_embedding_rows as f64);
+        let (checkout, _) = service.engine(&graph_id, &config).expect("patched engine");
+        let mut engine = checkout.lock();
+        let before = engine.stats();
+        let t = Instant::now();
+        let repaired = engine.select(&all, BUDGET);
+        repair.push(t.elapsed());
+        repair_stage.push(repaired.timings.indexing.as_nanos() as f64);
+        let delta = engine.stats().delta_since(&before);
+        assert_eq!((delta.ball_repairs, delta.diversity_builds), (1, 0));
+
+        engine.set_config(other_radius).expect("valid config");
+        engine.select(&all, BUDGET);
+        engine.set_config(config).expect("valid config");
+        let before = engine.stats();
+        let t = Instant::now();
+        let rebuilt = engine.select(&all, BUDGET);
+        rebuild.push(t.elapsed());
+        rebuild_stage.push(rebuilt.timings.indexing.as_nanos() as f64);
+        let delta = engine.stats().delta_since(&before);
+        assert_eq!((delta.ball_repairs, delta.diversity_builds), (0, 1));
+
+        let bits = |trace: &[f64]| trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(repaired.selected, rebuilt.selected, "sample {s}");
+        assert_eq!(repaired.sigma, rebuilt.sigma, "sample {s}");
+        assert_eq!(
+            bits(&repaired.objective_trace),
+            bits(&rebuilt.objective_trace),
+            "sample {s}"
+        );
+        assert_eq!(
+            repaired.diversity_value.to_bits(),
+            rebuilt.diversity_value.to_bits()
+        );
+        assert_eq!(repaired.evaluations, rebuilt.evaluations, "sample {s}");
+    }
+    let (_, changed_median, _) = quantiles(changed);
+    let (_, repair_stage, _) = quantiles(repair_stage);
+    let (_, rebuild_stage, _) = quantiles(rebuild_stage);
+    let speedup = summarize(&rebuild).1 as f64 / summarize(&repair).1.max(1) as f64;
+    cases.push(Case {
+        name: format!("ball-read/{n}/repair"),
+        samples: repair,
+        metrics: vec![
+            ("n", n as f64),
+            ("changed_embedding_rows_median", changed_median),
+            ("stage_balls_median_ns", repair_stage),
+            ("speedup_vs_rebuild_x", speedup),
+        ],
+    });
+    cases.push(Case {
+        name: format!("ball-read/{n}/rebuild"),
+        samples: rebuild,
+        metrics: vec![("n", n as f64), ("stage_balls_median_ns", rebuild_stage)],
+    });
+}
+
 fn bench_delta(c: &mut Criterion) {
     let max_n: usize = std::env::var("GRAIN_DELTA_MAX_N")
         .ok()
@@ -304,6 +413,7 @@ fn bench_delta(c: &mut Criterion) {
     for &n in &ladder {
         run_rung(c, n, &mut cases);
     }
+    run_ball_read(&mut cases);
     write_json("delta", &cases);
 }
 

@@ -11,7 +11,7 @@
 //! | normalized embedding | `kernel` |
 //! | influence rows `I_v(·, k)` | `kernel`, `influence_eps` |
 //! | activation index `act[u]` | rows + `theta` |
-//! | ball membership lists | embedding + `radius` |
+//! | ball membership lists | embedding + `radius`; across epoch flips, repaired for the bit-changed embedding rows only |
 //! | NN `d_max` constant | embedding |
 //! | greedy trace | `gamma`, `diversity`, `algorithm`, `prune`, variant + the post-prune candidate pool (and every artifact above) |
 //!
@@ -94,8 +94,14 @@ pub struct EngineStats {
     pub influence_builds: usize,
     /// Activation-index inversions.
     pub index_builds: usize,
-    /// Diversity precomputations (ball lists or NN `d_max`).
+    /// Full diversity precomputations (all-pairs ball lists or NN
+    /// `d_max`).
     pub diversity_builds: usize,
+    /// Ball lists repaired after an epoch flip
+    /// ([`crate::service::GrainService::apply_update`]): only the pairs of
+    /// the embedding rows the flips changed were re-measured. Counts no
+    /// `diversity_builds`.
+    pub ball_repairs: usize,
     /// `select` calls answered.
     pub selections: usize,
     /// Real greedy executions. Answers sliced from the cached greedy
@@ -117,6 +123,7 @@ impl EngineStats {
             influence_builds: self.influence_builds - earlier.influence_builds,
             index_builds: self.index_builds - earlier.index_builds,
             diversity_builds: self.diversity_builds - earlier.diversity_builds,
+            ball_repairs: self.ball_repairs - earlier.ball_repairs,
             selections: self.selections - earlier.selections,
             greedy_runs: self.greedy_runs - earlier.greedy_runs,
         }
@@ -132,6 +139,7 @@ impl EngineStats {
             + self.influence_builds
             + self.index_builds
             + self.diversity_builds
+            + self.ball_repairs
     }
 }
 
@@ -155,7 +163,8 @@ pub struct ArtifactBytes {
     pub influence_rows: usize,
     /// Activation index (flat CSR offsets + items).
     pub activation_index: usize,
-    /// Ball membership lists (per-ball `Vec` headers + entries).
+    /// Ball membership lists (per-ball `Vec` headers + entries) plus the
+    /// rows pending repair.
     pub balls: usize,
     /// The cached greedy trace: its candidate-pool key plus every
     /// per-round and per-`σ`-node record. Grows with the trace's length;
@@ -180,7 +189,16 @@ impl ArtifactBytes {
 /// Ball membership lists keyed by (kernel, radius bits), shared with the
 /// per-selection `BallDiversity` instances without copying; the union
 /// coverage bound rides along so warm selects touch no list.
-type BallCache = Option<((KernelKey, u32), (Arc<Vec<Vec<u32>>>, usize))>;
+struct BallLists {
+    key: (KernelKey, u32),
+    lists: Arc<Vec<Vec<u32>>>,
+    bound: usize,
+    /// Sorted embedding rows whose bits changed since `lists` was built —
+    /// the union of every epoch flip's changed rows (see
+    /// [`SelectionEngine::patched`]). Non-empty lists are stale; the next
+    /// `ensure_balls` repairs exactly these rows' pairs.
+    pending: Vec<u32>,
+}
 
 /// The greedy-stage inputs a cached trace answers for: every config field
 /// that steers the maximization without touching an artifact, the
@@ -345,7 +363,7 @@ pub struct SelectionEngine {
     embedding: Option<(KernelKey, Arc<DenseMatrix>)>,
     rows: Option<((KernelKey, u32, usize), InfluenceRows)>,
     index: Option<((KernelKey, u32, usize, ThetaRule), ActivationIndex)>,
-    balls: BallCache,
+    balls: Option<BallLists>,
     nn_dmax: Option<(KernelKey, f32)>,
     trace: Option<PrefixTrace>,
     stats: EngineStats,
@@ -572,11 +590,9 @@ impl SelectionEngine {
         let embedding = self.embedding.as_ref().map_or(0, |(_, e)| dense_bytes(e));
         let influence_rows = self.rows.as_ref().map_or(0, |(_, r)| r.resident_bytes());
         let activation_index = self.index.as_ref().map_or(0, |(_, i)| i.resident_bytes());
-        let balls = self.balls.as_ref().map_or(0, |(_, (lists, _))| {
-            lists
-                .iter()
-                .map(|b| std::mem::size_of::<Vec<u32>>() + b.len() * std::mem::size_of::<u32>())
-                .sum()
+        let balls = self.balls.as_ref().map_or(0, |b| {
+            let entries: usize = b.lists.iter().map(Vec::len).sum::<usize>() + b.pending.len();
+            b.lists.len() * std::mem::size_of::<Vec<u32>>() + entries * std::mem::size_of::<u32>()
         });
         ArtifactBytes {
             transition,
@@ -932,6 +948,18 @@ impl SelectionEngine {
         &self.rows.as_ref().expect("rows ensured").1
     }
 
+    /// The ball membership lists `G_u` of Ball-D diversity under the
+    /// active kernel and radius (built, repaired after an epoch flip, or
+    /// cached) — the lists every `BallDiversity` of this engine reads.
+    pub fn ball_lists(&mut self) -> Arc<Vec<Vec<u32>>> {
+        self.ensure_transition();
+        let untripped = CancelToken::new();
+        self.ensure_propagation(&untripped).expect(UNTRIPPED);
+        self.ensure_embedding();
+        self.ensure_balls(&untripped).expect(UNTRIPPED);
+        Arc::clone(&self.balls.as_ref().expect("balls ensured").lists)
+    }
+
     /// Derives an engine over the mutated corpus `(graph, features)` by
     /// patching this engine's cached artifacts instead of rebuilding them
     /// — the streaming fast path behind
@@ -955,13 +983,22 @@ impl SelectionEngine {
     /// * **embedding** — clean rows `memcpy`d from the old embedding
     ///   (their `X^(k)` rows are bit-identical, so their normalizations
     ///   are too), dirty rows re-normalized with the same per-row op as
-    ///   the full pass ([`grain_linalg::ops::l2_normalize_row`]);
+    ///   the full pass ([`grain_linalg::ops::l2_normalize_row`]); each
+    ///   rewritten row is compared with the old one bit for bit, and the
+    ///   number that actually changed is returned (zero when no embedding
+    ///   under the active kernel was cached);
     /// * **influence rows** — dirty rows re-walked via
     ///   [`InfluenceRows::with_rebuilt_rows`], clean row slices spliced;
     /// * **activation index** — inverted entries of dirty rows swapped via
     ///   [`ActivationIndex::repaired`];
-    /// * **ball lists / NN `d_max`** — dropped (rebuilt lazily on the next
-    ///   select that needs them).
+    /// * **ball lists** — kept under their `(kernel, radius)` key, with the
+    ///   bit-changed embedding rows added to the rows pending repair; the
+    ///   next select that needs them repairs just those rows' pairs
+    ///   ([`distance::radius_neighbors_repaired`]), so an update itself
+    ///   measures no distance. Dropped when the embedding was not migrated
+    ///   or the lists belong to another kernel;
+    /// * **NN `d_max`** — dropped (rebuilt lazily on the next select that
+    ///   needs it).
     ///
     /// Only artifacts cached under the *active* config are migrated; stale
     /// cache slots from earlier configs are dropped, and so is the greedy
@@ -975,7 +1012,7 @@ impl SelectionEngine {
         dirty_transition: &[u32],
         dirty_propagation: &[u32],
         dirty_influence: &[u32],
-    ) -> (SelectionEngine, PatchTimings) {
+    ) -> (SelectionEngine, PatchTimings, usize) {
         let config = self.config;
         let kind = config.kernel.transition_kind();
         debug_assert_ne!(
@@ -999,6 +1036,7 @@ impl SelectionEngine {
 
         let mut propagation = PropagationCache::new(Arc::clone(&graph), Arc::clone(&features));
         let mut embedding = None;
+        let mut changed_rows: Vec<u32> = Vec::new();
         if let Some(old_x) = self.propagation.get_cached(kernel) {
             let stage = Instant::now();
             let old_ladder = self.propagation.cached_ladder(kernel);
@@ -1019,6 +1057,13 @@ impl SelectionEngine {
                     let row = e.row_mut(r);
                     row.copy_from_slice(patched_x.row(r));
                     grain_linalg::ops::l2_normalize_row(row);
+                    if row
+                        .iter()
+                        .zip(old_e.row(r))
+                        .any(|(a, b)| a.to_bits() != b.to_bits())
+                    {
+                        changed_rows.push(v);
+                    }
                 }
                 timings.embedding = stage.elapsed();
                 embedding = Some((kernel_key.clone(), Arc::new(e)));
@@ -1049,7 +1094,7 @@ impl SelectionEngine {
         }
 
         let index_key = (
-            kernel_key,
+            kernel_key.clone(),
             config.influence_eps.to_bits(),
             config.influence_row_top_k,
             config.theta,
@@ -1066,6 +1111,25 @@ impl SelectionEngine {
             }
         }
 
+        // Ball lists stay valid wherever neither row of a pair changed
+        // bits, so they ride along with the rows they are now stale for.
+        let balls = self
+            .balls
+            .as_ref()
+            .filter(|b| embedding.is_some() && b.key.0 == kernel_key)
+            .map(|b| {
+                let mut pending: Vec<u32> =
+                    b.pending.iter().chain(&changed_rows).copied().collect();
+                pending.sort_unstable();
+                pending.dedup();
+                BallLists {
+                    key: b.key.clone(),
+                    lists: Arc::clone(&b.lists),
+                    bound: b.bound,
+                    pending,
+                }
+            });
+
         let engine = SelectionEngine {
             config,
             graph,
@@ -1075,12 +1139,12 @@ impl SelectionEngine {
             embedding,
             rows,
             index,
-            balls: None,
+            balls,
             nn_dmax: None,
             trace: None,
             stats,
         };
-        (engine, timings)
+        (engine, timings, changed_rows.len())
     }
 
     fn ensure_transition(&mut self) {
@@ -1184,19 +1248,51 @@ impl SelectionEngine {
         Ok(())
     }
 
+    /// Builds the ball lists unless cached, or repairs cached lists whose
+    /// key matches but which epoch flips left stale. A pending set of half
+    /// the rows or more costs about as much as the all-pairs scan, so it
+    /// takes the full build instead. `cancel` is checked once before
+    /// either; a trip, or a panic inside the scan, leaves the cached lists
+    /// and their pending rows as they were, so the next request repairs
+    /// (or builds) afresh.
     fn ensure_balls(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let key = (self.config.kernel.cache_key(), self.config.radius.to_bits());
-        if self.balls.as_ref().map(|(k, _)| k) != Some(&key) {
-            fault::point("engine.build.balls", Some(cancel));
-            cancel.checkpoint()?;
-            let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let balls =
-                distance::radius_neighbors(embedding, self.config.radius, self.config.parallelism);
-            let bound = BallDiversity::union_size(&balls, self.graph.num_nodes());
-            self.balls = Some((key, (Arc::new(balls), bound)));
-            self.trace = None;
+        let n = self.graph.num_nodes();
+        let stale = match self.balls.as_ref().filter(|b| b.key == key) {
+            Some(b) if b.pending.is_empty() => return Ok(()),
+            Some(b) if b.pending.len() * 2 < n => Some(b),
+            _ => None,
+        };
+        fault::point("engine.build.balls", Some(cancel));
+        cancel.checkpoint()?;
+        let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
+        let (radius, threads) = (self.config.radius, self.config.parallelism);
+        let lists = match stale {
+            Some(b) => {
+                let lists = distance::radius_neighbors_repaired(
+                    embedding, radius, &b.lists, &b.pending, threads,
+                );
+                debug_assert!(
+                    lists == distance::radius_neighbors(embedding, radius, threads),
+                    "repaired ball lists must equal a full rebuild"
+                );
+                lists
+            }
+            None => distance::radius_neighbors(embedding, radius, threads),
+        };
+        if stale.is_some() {
+            self.stats.ball_repairs += 1;
+        } else {
             self.stats.diversity_builds += 1;
         }
+        let bound = BallDiversity::union_size(&lists, n);
+        self.balls = Some(BallLists {
+            key,
+            lists: Arc::new(lists),
+            bound,
+            pending: Vec::new(),
+        });
+        self.trace = None;
         Ok(())
     }
 
@@ -1244,11 +1340,11 @@ impl SelectionEngine {
         match kind {
             None => Box::new(NullDiversity),
             Some(DiversityKind::Ball) => {
-                let (balls, bound) = self.balls.as_ref().expect("balls ensured").1.clone();
+                let balls = self.balls.as_ref().expect("balls ensured");
                 Box::new(BallDiversity::from_shared_with_bound(
-                    balls,
+                    Arc::clone(&balls.lists),
                     self.graph.num_nodes(),
-                    bound,
+                    balls.bound,
                 ))
             }
             Some(DiversityKind::Nn) => {

@@ -18,7 +18,7 @@
 //! | `engine.build.propagation` | before the X^(k) propagation build |
 //! | `engine.build.rows` | before the influence-row build |
 //! | `engine.build.index` | before the activation-index build |
-//! | `engine.build.balls` | before the ball-membership build |
+//! | `engine.build.balls` | before the ball-membership build or repair |
 //! | `service.request` | at the top of every `GrainService` selection |
 //! | `scheduler.dispatch` | in the worker, before a group is dispatched |
 //! | `edge.accept` | as an accepted connection starts being served |

@@ -18,9 +18,17 @@
 //! | artifact | dirty superset | why |
 //! |---|---|---|
 //! | transition row `r` | `E` (random-walk), `ball₁(E)` (symmetric) | a row depends on its own adjacency row, plus (symmetric) its neighbors' degrees |
-//! | `X^(k)` row `v` | `ball_k(T_d ∪ F)` | row `v` reads transition rows within `k-1` hops and feature rows within `k` hops |
+//! | `X^(k)` row `v` | `ball_{k-1}(T_d) ∪ ball_k(F)` (`F` when `k = 0`) | row `v` reads transition rows within `k-1` hops and feature rows within `k` hops |
 //! | influence row `v` | `ball_{k-1}(T_d)` | the walk from `v` expands transition rows of nodes within `k-1` hops; features never enter |
 //! | activation entries | inverted entries of dirty influence rows | `act[u]` is a per-row inversion |
+//!
+//! Every kernel's ladder level `l` is a linear recurrence over `T` and
+//! `X^(0)` (`T^l X`, or `(1-α) T Y + α X`), so a row dirty at level `l`
+//! has a dirty transition row within `l-1` hops or a dirty feature row
+//! within `l` hops; the `X^(k)` superset covers every level `l ≤ k`.
+//! The ball lists of Ball-D diversity depend on the embedding only, so
+//! their stale rows are the embedding rows whose bits actually changed —
+//! measured, not derived ([`PatchSummary::changed_embedding_rows`]).
 //!
 //! Balls are taken under the **new** adjacency, which suffices because
 //! both endpoints of every deleted edge are themselves in `E`: any old
@@ -189,7 +197,7 @@ impl GraphDelta {
 pub struct DirtySets {
     /// Transition rows whose values can change (`T_d`).
     pub transition: Vec<u32>,
-    /// `X^(k)` rows to re-propagate (`ball_k(T_d ∪ F)`).
+    /// `X^(k)` rows to re-propagate (`ball_{k-1}(T_d) ∪ ball_k(F)`).
     pub propagation: Vec<u32>,
     /// Influence rows to re-walk (`ball_{k-1}(T_d)`).
     pub influence: Vec<u32>,
@@ -216,19 +224,20 @@ impl DirtySets {
                 unreachable!("triangle-induced engines are rebuilt cold, not patched")
             }
         };
-        let mut seeds: Vec<u32> = transition
-            .iter()
-            .chain(feature_seeds.iter())
-            .copied()
-            .collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        let propagation = k_hop_ball(graph, &seeds, k);
         let influence = if k == 0 || transition.is_empty() {
             Vec::new()
         } else {
             k_hop_ball(graph, &transition, k - 1)
         };
+        // Level `l ≤ k` reads transition rows within `l-1` hops and
+        // feature rows within `l` hops; at `k = 0`, `X^(0)` is `X` itself.
+        let mut propagation: Vec<u32> = influence
+            .iter()
+            .copied()
+            .chain(k_hop_ball(graph, feature_seeds, k))
+            .collect();
+        propagation.sort_unstable();
+        propagation.dedup();
         Self {
             transition,
             propagation,
@@ -246,6 +255,10 @@ pub struct PatchSummary {
     pub fingerprint: String,
     /// `X^(k)` rows re-propagated.
     pub dirty_propagation: usize,
+    /// Embedding rows whose bits the patch actually changed — the subset
+    /// of the `dirty_propagation` rows that the next Ball-D read repairs
+    /// ball lists for. Zero when the engine held no embedding to migrate.
+    pub changed_embedding_rows: usize,
     /// Influence rows re-walked.
     pub dirty_influence: usize,
     /// Per-stage wall clock of this engine's migration.
@@ -377,7 +390,7 @@ impl GrainService {
             let Some(slot) = self.pool.get_slot(&key) else {
                 continue; // evicted since the snapshot
             };
-            let migrated: Option<(SelectionEngine, PatchTimings, usize, usize)> = {
+            let migrated: Option<(SelectionEngine, PatchSummary)> = {
                 let engine = match slot.engine.try_lock() {
                     Ok(engine) => engine,
                     Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
@@ -395,7 +408,7 @@ impl GrainService {
                     let dirty = dirty_cache.entry(shape).or_insert_with(|| {
                         DirtySets::compute(&new_graph, shape.0, shape.1, &endpoints, &feature_seeds)
                     });
-                    let (next, timings) = engine.patched(
+                    let (next, timings, changed_embedding_rows) = engine.patched(
                         Arc::clone(&new_graph),
                         Arc::clone(&new_features),
                         &dirty.transition,
@@ -404,13 +417,17 @@ impl GrainService {
                     );
                     Some((
                         next,
-                        timings,
-                        dirty.propagation.len(),
-                        dirty.influence.len(),
+                        PatchSummary {
+                            fingerprint: key.fingerprint.clone(),
+                            dirty_propagation: dirty.propagation.len(),
+                            changed_embedding_rows,
+                            dirty_influence: dirty.influence.len(),
+                            timings,
+                        },
                     ))
                 }
             };
-            if let Some((next, timings, dirty_propagation, dirty_influence)) = migrated {
+            if let Some((next, summary)) = migrated {
                 // Re-persist the patched artifacts under the new epoch's
                 // content address: patched ≡ cold-over-mutated-graph
                 // byte-for-byte, so the store stays warm across the
@@ -442,12 +459,7 @@ impl GrainService {
                     },
                     next,
                 );
-                patched.push(PatchSummary {
-                    fingerprint: key.fingerprint,
-                    dirty_propagation,
-                    dirty_influence,
-                    timings,
-                });
+                patched.push(summary);
             }
         }
         let patch_time = t1.elapsed();

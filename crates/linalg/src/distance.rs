@@ -98,6 +98,74 @@ pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> Vec<Vec
     out
 }
 
+/// Repairs the [`radius_neighbors`] lists `old` of an earlier version of
+/// `normed` in which only the rows `changed` (sorted, unique) held other
+/// bits, over `threads` workers (`0` = auto).
+///
+/// A changed row rescans all `n` rows. A clean row `u` keeps its old
+/// members minus the changed rows, then merges in each changed `d` with
+/// `sq_euclidean(row_u, row_d) <= (2r)²` — the comparison
+/// [`radius_neighbors`] makes for the pair (same argument order), and the
+/// distance to a clean member cannot have moved. The result is therefore
+/// bit-identical to `radius_neighbors(normed, r, threads)` at any thread
+/// count, for `O(|changed|·n·d)` work instead of `O(n²·d)`.
+///
+/// # Panics
+/// Panics if `old` does not hold one list per row of `normed`, or if
+/// `changed` is unsorted, has duplicates or names a row out of range.
+pub fn radius_neighbors_repaired(
+    normed: &DenseMatrix,
+    r: f32,
+    old: &[Vec<u32>],
+    changed: &[u32],
+    threads: usize,
+) -> Vec<Vec<u32>> {
+    let n = normed.rows();
+    assert_eq!(old.len(), n, "one old ball list per row");
+    assert!(
+        changed.windows(2).all(|w| w[0] < w[1]),
+        "changed rows must be sorted and unique"
+    );
+    assert!(
+        changed.last().map_or(true, |&d| (d as usize) < n),
+        "changed row out of range ({n} rows)"
+    );
+    let thresh = (2.0 * r) * (2.0 * r);
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+    {
+        let out_ptr = SendPtr(out.as_mut_ptr());
+        par::for_each_chunk_with(threads, n, 8, |start, end| {
+            // SAFETY: each worker writes only the `out` entries of its own
+            // disjoint u-range, and `out` outlives the scoped threads.
+            let ptr = out_ptr;
+            for (u, old_u) in (start..end).zip(&old[start..end]) {
+                let row_u = normed.row(u);
+                let out_u = unsafe { &mut *ptr.0.add(u) };
+                let within = |v: u32| sq_euclidean(row_u, normed.row(v as usize)) <= thresh;
+                if changed.binary_search(&(u as u32)).is_ok() {
+                    out_u.extend((0..n as u32).filter(|&v| within(v)));
+                    continue;
+                }
+                let mut entering = changed.iter().copied().filter(|&d| within(d)).peekable();
+                let mut skip = changed.iter().copied().peekable();
+                out_u.reserve(old_u.len());
+                for &v in old_u {
+                    while skip.next_if(|&d| d < v).is_some() {}
+                    if skip.next_if_eq(&v).is_some() {
+                        continue;
+                    }
+                    while let Some(d) = entering.next_if(|&d| d < v) {
+                        out_u.push(d);
+                    }
+                    out_u.push(v);
+                }
+                out_u.extend(entering);
+            }
+        });
+    }
+    out
+}
+
 /// For every row of `points`, the minimum [`grain_distance`] to any row of
 /// `centers` (both L2-normalized). Returns `f32::INFINITY` when `centers`
 /// is empty.
@@ -345,6 +413,76 @@ mod tests {
             max_pairwise_distance(&normed, usize::MAX, 0).to_bits(),
             naive_dmax.to_bits()
         );
+    }
+
+    /// `m` with each `(row, source)` of `moves` overwritten by a copy of
+    /// row `source` of `m`; every other row keeps its bits.
+    fn moved(m: &DenseMatrix, moves: &[(usize, usize)]) -> DenseMatrix {
+        let mut out = m.clone();
+        for &(row, source) in moves {
+            out.row_mut(row).copy_from_slice(m.row(source));
+        }
+        out
+    }
+
+    #[test]
+    fn repaired_balls_match_a_full_rescan() {
+        let n = 150;
+        let data: Vec<f32> = (0..n * 4).map(|i| ((i * 41 % 29) as f32) - 14.0).collect();
+        let before = normalized_embedding(&DenseMatrix::from_vec(n, 4, data), 1);
+        // Rows 3 and 77 jump onto other rows' positions: they leave their
+        // old neighbours' balls and enter their new ones.
+        let after = moved(&before, &[(3, 140), (77, 12)]);
+        let all: Vec<u32> = (0..n as u32).collect();
+        for r in [0.0f32, 0.1, 0.3, 1.0] {
+            let old = radius_neighbors(&before, r, 1);
+            let want = radius_neighbors(&after, r, 1);
+            if r > 0.0 && r < 1.0 {
+                assert_ne!(old, want, "r={r}: the moves must change some ball");
+            }
+            // r = 0: a moved row now coincides with its source row.
+            assert!(want[140].contains(&3) && want[12].contains(&77), "r={r}");
+            for changed in [vec![3u32, 77], vec![3, 50, 77], all.clone()] {
+                for threads in [1usize, 2, 8] {
+                    assert_eq!(
+                        radius_neighbors_repaired(&after, r, &old, &changed, threads),
+                        want,
+                        "r={r} changed={} threads={threads}",
+                        changed.len()
+                    );
+                }
+            }
+            // An empty pending set returns the old lists; so does a row
+            // whose bits did not change.
+            for threads in [1usize, 2, 8] {
+                assert_eq!(
+                    radius_neighbors_repaired(&before, r, &old, &[], threads),
+                    old
+                );
+                assert_eq!(
+                    radius_neighbors_repaired(&before, r, &old, &[50], threads),
+                    old
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repaired_balls_track_a_single_changed_row() {
+        let n = 40;
+        let data: Vec<f32> = (0..n * 3).map(|i| ((i * 17 % 11) as f32) - 5.0).collect();
+        let before = normalized_embedding(&DenseMatrix::from_vec(n, 3, data), 1);
+        let old = radius_neighbors(&before, 0.2, 0);
+        for row in [0usize, 19, n - 1] {
+            let after = moved(&before, &[(row, (row + 7) % n)]);
+            for threads in [1usize, 2, 8] {
+                assert_eq!(
+                    radius_neighbors_repaired(&after, 0.2, &old, &[row as u32], threads),
+                    radius_neighbors(&after, 0.2, threads),
+                    "row {row}, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! feature overwrite) through `GrainService::apply_update` and prints
 //! what the epoch flip cost: how far the dirty frontier spread, which
 //! resident engines were patched vs. skipped, and the per-stage repair
-//! timings. Between rounds a selection lands on the *new* epoch fully
-//! warm — no propagation, influence, or index rebuild.
+//! timings. Between rounds a selection lands on the *new* epoch warm —
+//! no propagation, influence, or index rebuild, and the ball lists are
+//! repaired for the embedding rows the flip changed, not rebuilt.
 //!
 //! The stream is net-zero (every inserted edge is later deleted), so the
 //! final corpus is the original one — and the closing selection is
@@ -131,10 +132,11 @@ fn main() -> GrainResult<()> {
         );
         for patch in &report.patched {
             println!(
-                "               dirty prop/influence {:>4}/{:<4} | stages: \
-                 T {:.1?}  P {:.1?}  E {:.1?}  I {:.1?}  X {:.1?}",
+                "               dirty prop/influence {:>4}/{:<4} ({:>3} embedding \
+                 rows changed) | stages: T {:.1?}  P {:.1?}  E {:.1?}  I {:.1?}  X {:.1?}",
                 patch.dirty_propagation,
                 patch.dirty_influence,
+                patch.changed_embedding_rows,
                 patch.timings.transition,
                 patch.timings.propagation,
                 patch.timings.embedding,
@@ -143,13 +145,14 @@ fn main() -> GrainResult<()> {
             );
         }
         // Patched engines serve the new epoch without rebuilding any of
-        // the heavy artifacts (the lazily rebuilt diversity ball lists are
-        // the one deliberate exception).
+        // the heavy artifacts; the ball lists are repaired for the rows
+        // the flip changed instead of rescanned pair by pair.
         let warm = service.select(&ball)?;
         assert_eq!(warm.pool_event, PoolEvent::Hit);
         assert_eq!(warm.artifact_builds.propagation_builds, 0);
         assert_eq!(warm.artifact_builds.influence_builds, 0);
         assert_eq!(warm.artifact_builds.index_builds, 0);
+        assert_eq!(warm.artifact_builds.diversity_builds, 0);
     }
 
     // ------------------------------------------------------------------

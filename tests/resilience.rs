@@ -529,6 +529,68 @@ mod fault_injection {
         assert_eq!(stats.delivered, 2, "{stats:?}");
     }
 
+    /// A cancel or a panic at the ball-list fail point of the read after
+    /// an update leaves the stale lists and their pending rows as they
+    /// were: the retry still repairs (it does not rebuild in full) and
+    /// answers exactly like a cold service over the mutated corpus.
+    #[test]
+    fn a_faulted_ball_repair_leaves_the_stale_lists_for_the_retry() {
+        let _guard = serialize();
+        let service = service_with(&[("papers", 101)]);
+        let req = request("papers", 8);
+        service.select(&req).unwrap();
+        let graph = service.graph("papers").unwrap();
+        let v = (0..graph.num_nodes())
+            .find(|&v| !graph.neighbors(v).is_empty())
+            .expect("an edge to delete");
+        let delta = GraphDelta::new().delete_edge(v as u32, graph.neighbors(v)[0]);
+        let report = service.apply_update("papers", &delta).unwrap();
+        assert!(report.patched[0].changed_embedding_rows > 0);
+
+        let cold = GrainService::new();
+        cold.register_graph(
+            "papers",
+            (*service.graph("papers").unwrap()).clone(),
+            (*service.features("papers").unwrap()).clone(),
+        )
+        .unwrap();
+        let oracle = cold.select(&req).unwrap();
+
+        for policy in [OnDeadline::Fail, OnDeadline::Partial] {
+            let _armed = Armed::arm("engine.build.balls", Schedule::Nth(1), FaultAction::Cancel);
+            assert_eq!(
+                service
+                    .select_with(&req, &CancelToken::new(), policy)
+                    .unwrap_err(),
+                GrainError::DeadlineExceeded {
+                    stage: DeadlineStage::MidSelection
+                },
+                "a ball repair is never partial ({policy:?})"
+            );
+        }
+        {
+            let _armed = Armed::arm("engine.build.balls", Schedule::Nth(1), FaultAction::Panic);
+            let results = service.submit_batch_with_workers(std::slice::from_ref(&req), 1);
+            assert_eq!(
+                results[0].as_ref().unwrap_err(),
+                &GrainError::SelectionPanicked {
+                    graph: "papers".into()
+                }
+            );
+        }
+
+        let report = service.select(&req).unwrap();
+        assert_eq!(report.pool_event, PoolEvent::Hit);
+        assert_eq!(report.artifact_builds.ball_repairs, 1, "still repaired");
+        assert_eq!(report.artifact_builds.diversity_builds, 0);
+        assert_eq!(report.outcome().selected, oracle.outcome().selected);
+        assert_eq!(report.outcome().sigma, oracle.outcome().sigma);
+        assert_eq!(
+            report.outcome().objective_trace,
+            oracle.outcome().objective_trace
+        );
+    }
+
     // ----- serving-edge fault sites -------------------------------------
 
     use grain::core::edge::proto::WireReport;

@@ -9,7 +9,9 @@
 //! graphs and deltas, across kernels, top-k truncation, and thread
 //! counts, plus the epoch semantics the scheduler layers on top.
 
+use grain::core::edge::proto::WireOutcome;
 use grain::graph::generators;
+use grain::linalg::distance;
 use grain::prelude::*;
 use proptest::prelude::*;
 
@@ -401,4 +403,301 @@ impl DeltaTestExt for GraphDelta {
         let (cols, _) = g.adjacency().row(0);
         self.delete_edge(0, cols[0])
     }
+}
+
+/// Every wire-carried field of two outcomes equal, floats bit for bit.
+fn assert_same_wire(got: &SelectionOutcome, want: &SelectionOutcome, context: &str) {
+    let (g, w) = (
+        WireOutcome::from_outcome(got),
+        WireOutcome::from_outcome(want),
+    );
+    let bits = |trace: &[f64]| trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(g, w, "{context}");
+    assert_eq!(
+        bits(&g.objective_trace),
+        bits(&w.objective_trace),
+        "{context}: F(S) bits"
+    );
+    assert_eq!(
+        g.diversity_value.to_bits(),
+        w.diversity_value.to_bits(),
+        "{context}: D(S) bits"
+    );
+}
+
+/// One small edit of `g`: toggles one node pair's edge or overwrites one
+/// feature row, chosen by `seed`.
+fn single_edit(g: &Graph, seed: u64) -> GraphDelta {
+    let n = g.num_nodes() as u64;
+    let a = (seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20) % n;
+    let b = (a + 1 + (seed >> 3) % (n - 1)) % n;
+    let (a, b) = (a as u32, b as u32);
+    match seed % 3 {
+        0 => {
+            let row: Vec<f32> = (0..FEATURE_DIM)
+                .map(|j| ((seed as usize + j) % 5) as f32 * 0.2)
+                .collect();
+            GraphDelta::new().set_features(a, row)
+        }
+        _ if has_edge(g, a, b) => GraphDelta::new().delete_edge(a, b),
+        _ => GraphDelta::new().insert_edge(a, b),
+    }
+}
+
+/// Ball-D with a radius wide enough that balls hold several members, so
+/// an update moves rows into and out of them.
+fn ball_config(kernel: Kernel, parallelism: usize) -> GrainConfig {
+    GrainConfig {
+        radius: 0.25,
+        ..config_for(kernel, 0, parallelism)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// The propagation dirty set `ball_{k-1}(T_d) ∪ ball_k(F)` covers
+    /// every ladder level of every kernel: after edge-only, feature-only
+    /// and mixed deltas, the patched `X^(k)`, its ladder, the embedding
+    /// and the selection equal a cold build of the mutated corpus.
+    #[test]
+    fn propagation_dirty_set_covers_every_kernel(seed in 0u64..500, nodes in 24usize..56) {
+        let (g, x) = corpus(nodes, seed);
+        let feature_row: Vec<f32> = (0..FEATURE_DIM).map(|j| 0.1 + j as f32 * 0.15).collect();
+        let deltas = [
+            ("edge-only", mutation(&g, seed ^ 0xed9e, false)),
+            ("feature-only", GraphDelta::new().set_features((seed % nodes as u64) as u32, feature_row)),
+            ("mixed", mutation(&g, seed ^ 0x31c5, true)),
+        ];
+        for (label, delta) in &deltas {
+            let (g2, x2) = mutated_corpus(&g, &x, delta);
+            for kernel in [
+                Kernel::SymNorm { k: 1 },
+                Kernel::SymNorm { k: 2 },
+                Kernel::RandomWalk { k: 3 },
+                Kernel::Ppr { k: 3, alpha: 0.15 },
+                Kernel::S2gc { k: 3, alpha: 0.2 },
+                Kernel::Gbp { k: 3, beta: 0.5 },
+            ] {
+                let context = format!("{label} {kernel:?}");
+                let config = config_for(kernel, 0, 0);
+                let request = SelectionRequest::new("live", config, Budget::Fixed(5));
+                let live = GrainService::new();
+                live.register_graph("live", g.clone(), x.clone()).unwrap();
+                live.select(&request).unwrap();
+                let report = live.apply_update("live", delta).unwrap();
+                let patch = &report.patched[0];
+                prop_assert!(patch.changed_embedding_rows <= patch.dirty_propagation, "{}", context);
+                let patched = live.select(&request).unwrap();
+                prop_assert_eq!(patched.artifact_builds.propagation_builds, 0);
+
+                let cold = GrainService::new();
+                cold.register_graph("live", g2.clone(), x2.clone()).unwrap();
+                let reference = cold.select(&request).unwrap();
+                assert_same_wire(patched.outcome(), reference.outcome(), &context);
+
+                let (live_engine, _) = live.engine("live", &config).unwrap();
+                let (cold_engine, _) = cold.engine("live", &config).unwrap();
+                let (mut live_engine, mut cold_engine) = (live_engine.lock(), cold_engine.lock());
+                let (value, ladder) = live_engine.propagated_if_cached(kernel).unwrap();
+                let (cold_value, cold_ladder) = cold_engine.propagated_if_cached(kernel).unwrap();
+                prop_assert_eq!(&*value, &*cold_value, "{}: X^(k)", context);
+                prop_assert_eq!(ladder.len(), cold_ladder.len());
+                for (level, (a, b)) in ladder.iter().zip(&cold_ladder).enumerate() {
+                    prop_assert_eq!(&**a, &**b, "{}: ladder level {}", context, level);
+                }
+                prop_assert_eq!(
+                    &*live_engine.normalized_embedding(),
+                    &*cold_engine.normalized_embedding(),
+                    "{}: embedding",
+                    context
+                );
+            }
+        }
+    }
+
+    /// Ball lists repaired across chains of one to three updates, with and
+    /// without reads between them, equal `radius_neighbors` over a cold
+    /// engine's embedding of the mutated corpus at one thread and at the
+    /// machine's thread count, and answer every Ball-D variant exactly as
+    /// that cold engine does. While the flips changed fewer than half the
+    /// embedding rows, each read after them repairs instead of rebuilding.
+    #[test]
+    fn repaired_ball_lists_answer_like_a_cold_engine(
+        seed in 0u64..500,
+        nodes in 90usize..140,
+        updates in 1usize..4,
+    ) {
+        let (g, x) = corpus(nodes, seed);
+        for (variant, parallelism, read_between) in [
+            (GrainVariant::Full, 1usize, false),
+            (GrainVariant::Full, 0, true),
+            (GrainVariant::NoMagnitude, 0, false),
+            (GrainVariant::ClassicCoverage, 1, true),
+        ] {
+            let config = ball_config(Kernel::RandomWalk { k: 2 }, parallelism);
+            let request =
+                SelectionRequest::new("live", config, Budget::Fixed(7)).with_variant(variant);
+            let live = GrainService::new();
+            live.register_graph("live", g.clone(), x.clone()).unwrap();
+            live.select(&request).unwrap();
+            let mut changed_since_read = 0usize;
+            for step in 0..updates {
+                let graph = live.graph("live").unwrap();
+                let delta = single_edit(&graph, seed.wrapping_add(step as u64 * 7919));
+                let report = live.apply_update("live", &delta).unwrap();
+                prop_assert_eq!(report.engines_patched(), 1);
+                changed_since_read += report.patched[0].changed_embedding_rows;
+                if !read_between && step + 1 < updates {
+                    continue;
+                }
+                let context = format!("{variant:?} par={parallelism} step {step}");
+                let read = live.select(&request).unwrap();
+                let builds = read.artifact_builds;
+                prop_assert_eq!(read.pool_event, PoolEvent::Hit);
+                prop_assert_eq!(builds.propagation_builds, 0);
+                if changed_since_read == 0 {
+                    prop_assert_eq!((builds.ball_repairs, builds.diversity_builds), (0, 0), "{}", context);
+                } else if changed_since_read * 2 < nodes {
+                    prop_assert_eq!((builds.ball_repairs, builds.diversity_builds), (1, 0), "{}", context);
+                } else {
+                    prop_assert_eq!(builds.ball_repairs + builds.diversity_builds, 1, "{}", context);
+                }
+                changed_since_read = 0;
+
+                let mut cold = SelectionEngine::over(
+                    config,
+                    live.graph("live").unwrap(),
+                    live.features("live").unwrap(),
+                )
+                .unwrap();
+                let (checkout, _) = live.engine("live", &config).unwrap();
+                let repaired = checkout.lock().ball_lists();
+                let embedding = cold.normalized_embedding();
+                for threads in [1usize, 0] {
+                    let full = distance::radius_neighbors(&embedding, config.radius, threads);
+                    prop_assert!(*repaired == full, "{}: ball lists, {} threads", context, threads);
+                }
+                let cold = cold.select_variant(variant, &(0..nodes as u32).collect::<Vec<_>>(), 7);
+                assert_same_wire(read.outcome(), &cold, &context);
+            }
+        }
+    }
+}
+
+/// The exact repair accounting of one update: the read after it repairs
+/// the ball lists once, builds nothing, and `changed_embedding_rows` is
+/// at most the re-propagated row count.
+#[test]
+fn the_read_after_an_update_repairs_ball_lists_instead_of_rebuilding() {
+    let (g, x) = corpus(120, 41);
+    let config = ball_config(Kernel::RandomWalk { k: 2 }, 0);
+    let request = SelectionRequest::new("g", config, Budget::Fixed(8));
+    let service = GrainService::new();
+    service.register_graph("g", g.clone(), x).unwrap();
+    let first = service.select(&request).unwrap();
+    assert_eq!(first.artifact_builds.diversity_builds, 1);
+    assert_eq!(first.artifact_builds.ball_repairs, 0);
+
+    let report = service.apply_update("g", &single_edit(&g, 2)).unwrap();
+    let patch = &report.patched[0];
+    assert!(patch.changed_embedding_rows > 0, "{patch:?}");
+    assert!(patch.changed_embedding_rows <= patch.dirty_propagation);
+    let read = service.select(&request).unwrap();
+    assert_eq!(
+        read.artifact_builds,
+        EngineStats {
+            ball_repairs: 1,
+            selections: 1,
+            greedy_runs: 1,
+            ..EngineStats::default()
+        }
+    );
+    // Repaired lists are current: the next read is fully warm.
+    assert!(service.select(&request).unwrap().fully_warm());
+}
+
+/// A radius change after a patch misses the lists' key: the lists are
+/// built in full for the new radius, never repaired from the old one.
+#[test]
+fn a_radius_change_after_a_patch_rebuilds_ball_lists_in_full() {
+    let (g, x) = corpus(100, 43);
+    let config = ball_config(Kernel::RandomWalk { k: 2 }, 0);
+    let service = GrainService::new();
+    service.register_graph("g", g.clone(), x).unwrap();
+    service
+        .select(&SelectionRequest::new("g", config, Budget::Fixed(6)))
+        .unwrap();
+    service.apply_update("g", &single_edit(&g, 5)).unwrap();
+
+    let wider = GrainConfig {
+        radius: 0.4,
+        ..config
+    };
+    let (checkout, event) = service.engine("g", &config).unwrap();
+    assert_eq!(event, PoolEvent::Hit, "the patched engine");
+    let mut engine = checkout.lock();
+    engine.set_config(wider).unwrap();
+    let before = engine.stats();
+    let candidates: Vec<u32> = (0..100).collect();
+    let got = engine.select(&candidates, 6);
+    let delta = engine.stats().delta_since(&before);
+    assert_eq!((delta.diversity_builds, delta.ball_repairs), (1, 0));
+    let cold = SelectionEngine::over(
+        wider,
+        service.graph("g").unwrap(),
+        service.features("g").unwrap(),
+    )
+    .unwrap()
+    .select(&candidates, 6);
+    assert_same_wire(&got, &cold, "radius change after a patch");
+    // Back at the patched radius, the lists built above miss again.
+    engine.set_config(config).unwrap();
+    let before = engine.stats();
+    engine.select(&candidates, 6);
+    let delta = engine.stats().delta_since(&before);
+    assert_eq!((delta.diversity_builds, delta.ball_repairs), (1, 0));
+}
+
+/// Lists built under one kernel do not survive a patch taken while the
+/// engine ran another: the embedding they were stale against was never
+/// migrated, so switching back rebuilds them in full.
+#[test]
+fn a_kernel_switch_before_a_patch_rebuilds_ball_lists_in_full() {
+    let (g, x) = corpus(200, 47);
+    let sym = ball_config(Kernel::SymNorm { k: 2 }, 0);
+    let walk = ball_config(Kernel::RandomWalk { k: 2 }, 0);
+    let candidates: Vec<u32> = (0..200).collect();
+    let service = GrainService::new();
+    service.register_graph("g", g.clone(), x).unwrap();
+    {
+        let (checkout, _) = service.engine("g", &sym).unwrap();
+        let mut engine = checkout.lock();
+        engine.select(&candidates, 6); // lists under the sym kernel
+        engine.set_config(walk).unwrap();
+        // The walk-kernel embedding is built; the sym lists stay cached.
+        engine.select_variant(GrainVariant::NoDiversity, &candidates, 6);
+    }
+    // The engine re-keyed under `walk` when the checkout dropped; the
+    // patch migrates the walk-kernel embedding only, and changes few of
+    // its rows (a repair would be chosen for the sym lists if they were
+    // kept).
+    let report = service.apply_update("g", &single_edit(&g, 8)).unwrap();
+    assert!(report.patched[0].changed_embedding_rows * 2 < 200);
+    let (checkout, event) = service.engine("g", &walk).unwrap();
+    assert_eq!(event, PoolEvent::Hit, "the patched engine");
+    let mut engine = checkout.lock();
+    engine.set_config(sym).unwrap();
+    let before = engine.stats();
+    let got = engine.select(&candidates, 6);
+    let delta = engine.stats().delta_since(&before);
+    assert_eq!((delta.diversity_builds, delta.ball_repairs), (1, 0));
+    let cold = SelectionEngine::over(
+        sym,
+        service.graph("g").unwrap(),
+        service.features("g").unwrap(),
+    )
+    .unwrap()
+    .select(&candidates, 6);
+    assert_same_wire(&got, &cold, "kernel switch before a patch");
 }
