@@ -21,9 +21,12 @@
 //!   artifact build;
 //! * **Ball-D fresh read** — on a separate n=4000 corpus (the all-pairs
 //!   ball build is `O(n²·d)`), the first Ball-D read after a 1-edge
-//!   update with the ball lists repaired from the changed embedding rows
-//!   against the same read with the lists rebuilt in full, the two
-//!   answers asserted equal.
+//!   update with the ball lists repaired from the re-propagated
+//!   embedding rows against the same read with the lists rebuilt in
+//!   full, the two answers asserted equal. Recorded twice: on centered
+//!   features (small balls, repair at its best) and on the raw
+//!   all-positive features (most of the corpus in every ball, so the
+//!   repair's `O(Σ|G_u|)` list copy dominates).
 //!
 //! CI smoke: `GRAIN_DELTA_MAX_N` caps the ladder (e.g. `20000`) so the
 //! bench exercises every code path in seconds; the committed JSON comes
@@ -296,18 +299,24 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
 
 /// The first Ball-D read after a 1-edge update, timed two ways on the
 /// same patched engine: with the ball lists repaired from the embedding
-/// rows the update changed, then with them rebuilt in full (another
-/// radius's lists displace them first, so the read misses their key) —
-/// what every such read cost before repair. Both answers must agree.
-fn run_ball_read(cases: &mut Vec<Case>) {
+/// rows the update re-propagated, then with them rebuilt in full
+/// (another radius's lists displace them first, so the read misses their
+/// key) — what every such read cost before repair. Both answers must
+/// agree.
+///
+/// `centered` shifts the features to zero mean. Uncentered, propagation
+/// smooths the all-positive rows towards one direction, which puts most
+/// of the corpus in every ball.
+fn run_ball_read(cases: &mut Vec<Case>, centered: bool) {
     let n = BALL_N;
-    let graph_id = format!("ba-ball-{n}");
+    let layout = if centered { "centered" } else { "uncentered" };
+    let graph_id = format!("ba-ball-{n}-{layout}");
     let graph = generators::barabasi_albert(n, 4, 42);
-    // Centered features: propagation smooths all-positive rows towards
-    // one direction, which would put most of the corpus in every ball.
     let mut x = features(n);
-    for row in 0..n {
-        x.row_mut(row).iter_mut().for_each(|v| *v -= 0.5);
+    if centered {
+        for row in 0..n {
+            x.row_mut(row).iter_mut().for_each(|v| *v -= 0.5);
+        }
     }
     let service = GrainService::with_capacity(2);
     service
@@ -327,7 +336,7 @@ fn run_ball_read(cases: &mut Vec<Case>) {
     service.select(&request).expect("warm-up select");
     let all: Vec<u32> = (0..n as u32).collect();
     let single = toggle_pairs(&graph, 1);
-    let (mut repair, mut rebuild, mut changed) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut repair, mut rebuild, mut pending) = (Vec::new(), Vec::new(), Vec::new());
     let (mut repair_stage, mut rebuild_stage) = (Vec::new(), Vec::new());
     for s in 0..SAMPLES {
         let delta = if s % 2 == 0 {
@@ -338,7 +347,7 @@ fn run_ball_read(cases: &mut Vec<Case>) {
         let report = service
             .apply_update(&graph_id, &delta)
             .expect("delta applies");
-        changed.push(report.patched[0].changed_embedding_rows as f64);
+        pending.push(report.patched[0].dirty_propagation as f64);
         let (checkout, _) = service.engine(&graph_id, &config).expect("patched engine");
         let mut engine = checkout.lock();
         let before = engine.stats();
@@ -374,22 +383,22 @@ fn run_ball_read(cases: &mut Vec<Case>) {
         );
         assert_eq!(repaired.evaluations, rebuilt.evaluations, "sample {s}");
     }
-    let (_, changed_median, _) = quantiles(changed);
+    let (_, pending_median, _) = quantiles(pending);
     let (_, repair_stage, _) = quantiles(repair_stage);
     let (_, rebuild_stage, _) = quantiles(rebuild_stage);
     let speedup = summarize(&rebuild).1 as f64 / summarize(&repair).1.max(1) as f64;
     cases.push(Case {
-        name: format!("ball-read/{n}/repair"),
+        name: format!("ball-read/{n}/{layout}/repair"),
         samples: repair,
         metrics: vec![
             ("n", n as f64),
-            ("changed_embedding_rows_median", changed_median),
+            ("pending_rows_median", pending_median),
             ("stage_balls_median_ns", repair_stage),
             ("speedup_vs_rebuild_x", speedup),
         ],
     });
     cases.push(Case {
-        name: format!("ball-read/{n}/rebuild"),
+        name: format!("ball-read/{n}/{layout}/rebuild"),
         samples: rebuild,
         metrics: vec![("n", n as f64), ("stage_balls_median_ns", rebuild_stage)],
     });
@@ -413,7 +422,8 @@ fn bench_delta(c: &mut Criterion) {
     for &n in &ladder {
         run_rung(c, n, &mut cases);
     }
-    run_ball_read(&mut cases);
+    run_ball_read(&mut cases, true);
+    run_ball_read(&mut cases, false);
     write_json("delta", &cases);
 }
 

@@ -11,7 +11,7 @@
 //! | normalized embedding | `kernel` |
 //! | influence rows `I_v(·, k)` | `kernel`, `influence_eps` |
 //! | activation index `act[u]` | rows + `theta` |
-//! | ball membership lists | embedding + `radius`; across epoch flips, repaired for the bit-changed embedding rows only |
+//! | ball membership lists | embedding + `radius`; across epoch flips, repaired for the re-propagated embedding rows only |
 //! | NN `d_max` constant | embedding |
 //! | greedy trace | `gamma`, `diversity`, `algorithm`, `prune`, variant + the post-prune candidate pool (and every artifact above) |
 //!
@@ -99,7 +99,7 @@ pub struct EngineStats {
     pub diversity_builds: usize,
     /// Ball lists repaired after an epoch flip
     /// ([`crate::service::GrainService::apply_update`]): only the pairs of
-    /// the embedding rows the flips changed were re-measured. Counts no
+    /// the embedding rows the flips rewrote were re-measured. Counts no
     /// `diversity_builds`.
     pub ball_repairs: usize,
     /// `select` calls answered.
@@ -193,10 +193,11 @@ struct BallLists {
     key: (KernelKey, u32),
     lists: Arc<Vec<Vec<u32>>>,
     bound: usize,
-    /// Sorted embedding rows whose bits changed since `lists` was built —
-    /// the union of every epoch flip's changed rows (see
-    /// [`SelectionEngine::patched`]). Non-empty lists are stale; the next
-    /// `ensure_balls` repairs exactly these rows' pairs.
+    /// Sorted embedding rows rewritten since `lists` was built — the
+    /// union of every epoch flip's `X^(k)` dirty rows (see
+    /// [`SelectionEngine::patched`]); every other row kept its bits.
+    /// Non-empty lists are stale; the next `ensure_balls` repairs exactly
+    /// these rows' pairs.
     pending: Vec<u32>,
 }
 
@@ -983,17 +984,14 @@ impl SelectionEngine {
     /// * **embedding** — clean rows `memcpy`d from the old embedding
     ///   (their `X^(k)` rows are bit-identical, so their normalizations
     ///   are too), dirty rows re-normalized with the same per-row op as
-    ///   the full pass ([`grain_linalg::ops::l2_normalize_row`]); each
-    ///   rewritten row is compared with the old one bit for bit, and the
-    ///   number that actually changed is returned (zero when no embedding
-    ///   under the active kernel was cached);
+    ///   the full pass ([`grain_linalg::ops::l2_normalize_row`]);
     /// * **influence rows** — dirty rows re-walked via
     ///   [`InfluenceRows::with_rebuilt_rows`], clean row slices spliced;
     /// * **activation index** — inverted entries of dirty rows swapped via
     ///   [`ActivationIndex::repaired`];
     /// * **ball lists** — kept under their `(kernel, radius)` key, with the
-    ///   bit-changed embedding rows added to the rows pending repair; the
-    ///   next select that needs them repairs just those rows' pairs
+    ///   dirty embedding rows added to the rows pending repair; the next
+    ///   select that needs them repairs just those rows' pairs
     ///   ([`distance::radius_neighbors_repaired`]), so an update itself
     ///   measures no distance. Dropped when the embedding was not migrated
     ///   or the lists belong to another kernel;
@@ -1012,7 +1010,7 @@ impl SelectionEngine {
         dirty_transition: &[u32],
         dirty_propagation: &[u32],
         dirty_influence: &[u32],
-    ) -> (SelectionEngine, PatchTimings, usize) {
+    ) -> (SelectionEngine, PatchTimings) {
         let config = self.config;
         let kind = config.kernel.transition_kind();
         debug_assert_ne!(
@@ -1036,7 +1034,6 @@ impl SelectionEngine {
 
         let mut propagation = PropagationCache::new(Arc::clone(&graph), Arc::clone(&features));
         let mut embedding = None;
-        let mut changed_rows: Vec<u32> = Vec::new();
         if let Some(old_x) = self.propagation.get_cached(kernel) {
             let stage = Instant::now();
             let old_ladder = self.propagation.cached_ladder(kernel);
@@ -1057,13 +1054,6 @@ impl SelectionEngine {
                     let row = e.row_mut(r);
                     row.copy_from_slice(patched_x.row(r));
                     grain_linalg::ops::l2_normalize_row(row);
-                    if row
-                        .iter()
-                        .zip(old_e.row(r))
-                        .any(|(a, b)| a.to_bits() != b.to_bits())
-                    {
-                        changed_rows.push(v);
-                    }
                 }
                 timings.embedding = stage.elapsed();
                 embedding = Some((kernel_key.clone(), Arc::new(e)));
@@ -1111,15 +1101,16 @@ impl SelectionEngine {
             }
         }
 
-        // Ball lists stay valid wherever neither row of a pair changed
-        // bits, so they ride along with the rows they are now stale for.
+        // Ball lists stay valid wherever neither row of a pair was
+        // rewritten, so they ride along with the rows they are now stale
+        // for.
         let balls = self
             .balls
             .as_ref()
             .filter(|b| embedding.is_some() && b.key.0 == kernel_key)
             .map(|b| {
                 let mut pending: Vec<u32> =
-                    b.pending.iter().chain(&changed_rows).copied().collect();
+                    b.pending.iter().chain(dirty_propagation).copied().collect();
                 pending.sort_unstable();
                 pending.dedup();
                 BallLists {
@@ -1144,7 +1135,7 @@ impl SelectionEngine {
             trace: None,
             stats,
         };
-        (engine, timings, changed_rows.len())
+        (engine, timings)
     }
 
     fn ensure_transition(&mut self) {
@@ -1249,19 +1240,18 @@ impl SelectionEngine {
     }
 
     /// Builds the ball lists unless cached, or repairs cached lists whose
-    /// key matches but which epoch flips left stale. A pending set of half
-    /// the rows or more costs about as much as the all-pairs scan, so it
-    /// takes the full build instead. `cancel` is checked once before
-    /// either; a trip, or a panic inside the scan, leaves the cached lists
-    /// and their pending rows as they were, so the next request repairs
-    /// (or builds) afresh.
+    /// key matches but which epoch flips left stale. A repair of `c`
+    /// pending rows measures `2cn - c²` pairs against the full build's
+    /// `n²`, never more, so any matching key repairs. `cancel` is checked
+    /// once before either; a trip, or a panic inside the scan, leaves the
+    /// cached lists and their pending rows as they were, so the next
+    /// request repairs (or builds) afresh.
     fn ensure_balls(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let key = (self.config.kernel.cache_key(), self.config.radius.to_bits());
         let n = self.graph.num_nodes();
         let stale = match self.balls.as_ref().filter(|b| b.key == key) {
             Some(b) if b.pending.is_empty() => return Ok(()),
-            Some(b) if b.pending.len() * 2 < n => Some(b),
-            _ => None,
+            stale => stale,
         };
         fault::point("engine.build.balls", Some(cancel));
         cancel.checkpoint()?;

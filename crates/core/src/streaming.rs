@@ -27,8 +27,8 @@
 //! has a dirty transition row within `l-1` hops or a dirty feature row
 //! within `l` hops; the `X^(k)` superset covers every level `l ≤ k`.
 //! The ball lists of Ball-D diversity depend on the embedding only, so
-//! their stale rows are the embedding rows whose bits actually changed —
-//! measured, not derived ([`PatchSummary::changed_embedding_rows`]).
+//! their stale rows are the `X^(k)` dirty rows: every other embedding row
+//! keeps its bits.
 //!
 //! Balls are taken under the **new** adjacency, which suffices because
 //! both endpoints of every deleted edge are themselves in `E`: any old
@@ -255,10 +255,6 @@ pub struct PatchSummary {
     pub fingerprint: String,
     /// `X^(k)` rows re-propagated.
     pub dirty_propagation: usize,
-    /// Embedding rows whose bits the patch actually changed — the subset
-    /// of the `dirty_propagation` rows that the next Ball-D read repairs
-    /// ball lists for. Zero when the engine held no embedding to migrate.
-    pub changed_embedding_rows: usize,
     /// Influence rows re-walked.
     pub dirty_influence: usize,
     /// Per-stage wall clock of this engine's migration.
@@ -408,7 +404,7 @@ impl GrainService {
                     let dirty = dirty_cache.entry(shape).or_insert_with(|| {
                         DirtySets::compute(&new_graph, shape.0, shape.1, &endpoints, &feature_seeds)
                     });
-                    let (next, timings, changed_embedding_rows) = engine.patched(
+                    let (next, timings) = engine.patched(
                         Arc::clone(&new_graph),
                         Arc::clone(&new_features),
                         &dirty.transition,
@@ -420,7 +416,6 @@ impl GrainService {
                         PatchSummary {
                             fingerprint: key.fingerprint.clone(),
                             dirty_propagation: dirty.propagation.len(),
-                            changed_embedding_rows,
                             dirty_influence: dirty.influence.len(),
                             timings,
                         },

@@ -80,35 +80,55 @@ pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> Vec<Vec
         par::for_each_chunk_with(threads, n, 8, |start, end| {
             // SAFETY: each worker writes only the `out` entries of its own
             // disjoint u-range, and `out` outlives the scoped threads.
-            let ptr = out_ptr;
-            for tile_start in (0..n).step_by(TILE_ROWS) {
-                let tile_end = (tile_start + TILE_ROWS).min(n);
-                for u in start..end {
-                    let row_u = normed.row(u);
-                    let out_u = unsafe { &mut *ptr.0.add(u) };
-                    for v in tile_start..tile_end {
-                        if sq_euclidean(row_u, normed.row(v)) <= thresh {
-                            out_u.push(v as u32);
-                        }
-                    }
-                }
-            }
+            unsafe { scan_tiled(normed, thresh, start..end, out_ptr) };
         });
     }
     out
+}
+
+/// Appends to `out[u]`, for every row `u` of `rows`, each row `v` of
+/// `normed` with `sq_euclidean(row_u, row_v) <= thresh`, in ascending
+/// `v` — the cache-blocked scan (see [`TILE_ROWS`]) shared by the full
+/// and the repairing radius query.
+///
+/// # Safety
+/// `out` must point at one list per row of `normed`, and the caller must
+/// be the only writer of `out[u]` for every `u` of `rows`.
+unsafe fn scan_tiled(
+    normed: &DenseMatrix,
+    thresh: f32,
+    rows: impl Iterator<Item = usize> + Clone,
+    out: SendPtr<Vec<u32>>,
+) {
+    let n = normed.rows();
+    for tile_start in (0..n).step_by(TILE_ROWS) {
+        let tile_end = (tile_start + TILE_ROWS).min(n);
+        for u in rows.clone() {
+            let row_u = normed.row(u);
+            // SAFETY: guaranteed by the caller.
+            let out_u = unsafe { &mut *out.0.add(u) };
+            for v in tile_start..tile_end {
+                if sq_euclidean(row_u, normed.row(v)) <= thresh {
+                    out_u.push(v as u32);
+                }
+            }
+        }
+    }
 }
 
 /// Repairs the [`radius_neighbors`] lists `old` of an earlier version of
 /// `normed` in which only the rows `changed` (sorted, unique) held other
 /// bits, over `threads` workers (`0` = auto).
 ///
-/// A changed row rescans all `n` rows. A clean row `u` keeps its old
+/// A changed row rescans all `n` rows with the same cache-blocked scan as
+/// [`radius_neighbors`]. A clean row `u` keeps its old
 /// members minus the changed rows, then merges in each changed `d` with
 /// `sq_euclidean(row_u, row_d) <= (2r)²` — the comparison
 /// [`radius_neighbors`] makes for the pair (same argument order), and the
 /// distance to a clean member cannot have moved. The result is therefore
 /// bit-identical to `radius_neighbors(normed, r, threads)` at any thread
-/// count, for `O(|changed|·n·d)` work instead of `O(n²·d)`.
+/// count. It measures `2cn - c²` pairs for `c` changed rows against the
+/// full query's `n²`: `O(c·n·d)` work, and never more than a full query.
 ///
 /// # Panics
 /// Panics if `old` does not hold one list per row of `normed`, or if
@@ -138,14 +158,16 @@ pub fn radius_neighbors_repaired(
             // SAFETY: each worker writes only the `out` entries of its own
             // disjoint u-range, and `out` outlives the scoped threads.
             let ptr = out_ptr;
+            let own = &changed[changed.partition_point(|&d| (d as usize) < start)
+                ..changed.partition_point(|&d| (d as usize) < end)];
+            unsafe { scan_tiled(normed, thresh, own.iter().map(|&d| d as usize), ptr) };
             for (u, old_u) in (start..end).zip(&old[start..end]) {
+                if own.binary_search(&(u as u32)).is_ok() {
+                    continue;
+                }
                 let row_u = normed.row(u);
                 let out_u = unsafe { &mut *ptr.0.add(u) };
                 let within = |v: u32| sq_euclidean(row_u, normed.row(v as usize)) <= thresh;
-                if changed.binary_search(&(u as u32)).is_ok() {
-                    out_u.extend((0..n as u32).filter(|&v| within(v)));
-                    continue;
-                }
                 let mut entering = changed.iter().copied().filter(|&d| within(d)).peekable();
                 let mut skip = changed.iter().copied().peekable();
                 out_u.reserve(old_u.len());

@@ -142,11 +142,16 @@ pub fn propagate_with(
 /// serially: dirty sets are small by construction.
 ///
 /// Bit-identity contract: every level-`l` row that differs from a cold
-/// build over the edited corpus must be in `dirty` (true for any `dirty ⊇
-/// ball_k(seeds)`, since per-level dirt is the nested `ball_l(seeds)`; see
-/// `grain_graph::edit::k_hop_ball`), and `old_ladder` must be the cold
-/// build's ladder over the pre-delta corpus. Under that contract the
-/// result is byte-identical to the cold build.
+/// build over the edited corpus must be in `dirty`, and `old_ladder` must
+/// be the cold build's ladder over the pre-delta corpus. Under that
+/// contract the result is byte-identical to the cold build. Every kernel's
+/// level `l` is linear in `T^j X` for `j ≤ l`, so a level-`l` row can
+/// differ only within `l-1` hops of a changed transition row `T_d` or `l`
+/// hops of a changed feature row `F`: `ball_{l-1}(T_d) ∪ ball_l(F)` (`F`
+/// at `l = 0`; see `grain_graph::edit::k_hop_ball`). These sets nest in
+/// `l`, so `dirty ⊇ ball_{k-1}(T_d) ∪ ball_k(F)` meets the contract at
+/// every level; the derivation is in `grain_core::streaming`'s module
+/// docs.
 ///
 /// # Panics
 /// Panics on shape mismatches, an unsorted/duplicate/out-of-range

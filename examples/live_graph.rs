@@ -7,7 +7,7 @@
 //! resident engines were patched vs. skipped, and the per-stage repair
 //! timings. Between rounds a selection lands on the *new* epoch warm —
 //! no propagation, influence, or index rebuild, and the ball lists are
-//! repaired for the embedding rows the flip changed, not rebuilt.
+//! repaired for the embedding rows the flip re-propagated, not rebuilt.
 //!
 //! The stream is net-zero (every inserted edge is later deleted), so the
 //! final corpus is the original one — and the closing selection is
@@ -132,11 +132,10 @@ fn main() -> GrainResult<()> {
         );
         for patch in &report.patched {
             println!(
-                "               dirty prop/influence {:>4}/{:<4} ({:>3} embedding \
-                 rows changed) | stages: T {:.1?}  P {:.1?}  E {:.1?}  I {:.1?}  X {:.1?}",
+                "               dirty prop/influence {:>4}/{:<4} | stages: \
+                 T {:.1?}  P {:.1?}  E {:.1?}  I {:.1?}  X {:.1?}",
                 patch.dirty_propagation,
                 patch.dirty_influence,
-                patch.changed_embedding_rows,
                 patch.timings.transition,
                 patch.timings.propagation,
                 patch.timings.embedding,
@@ -146,7 +145,7 @@ fn main() -> GrainResult<()> {
         }
         // Patched engines serve the new epoch without rebuilding any of
         // the heavy artifacts; the ball lists are repaired for the rows
-        // the flip changed instead of rescanned pair by pair.
+        // the flip re-propagated instead of rescanned pair by pair.
         let warm = service.select(&ball)?;
         assert_eq!(warm.pool_event, PoolEvent::Hit);
         assert_eq!(warm.artifact_builds.propagation_builds, 0);

@@ -545,7 +545,7 @@ mod fault_injection {
             .expect("an edge to delete");
         let delta = GraphDelta::new().delete_edge(v as u32, graph.neighbors(v)[0]);
         let report = service.apply_update("papers", &delta).unwrap();
-        assert!(report.patched[0].changed_embedding_rows > 0);
+        assert!(report.patched[0].dirty_propagation > 0);
 
         let cold = GrainService::new();
         cold.register_graph(

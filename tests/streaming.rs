@@ -486,8 +486,7 @@ proptest! {
                 live.register_graph("live", g.clone(), x.clone()).unwrap();
                 live.select(&request).unwrap();
                 let report = live.apply_update("live", delta).unwrap();
-                let patch = &report.patched[0];
-                prop_assert!(patch.changed_embedding_rows <= patch.dirty_propagation, "{}", context);
+                prop_assert_eq!(report.engines_patched(), 1);
                 let patched = live.select(&request).unwrap();
                 prop_assert_eq!(patched.artifact_builds.propagation_builds, 0);
 
@@ -520,8 +519,8 @@ proptest! {
     /// without reads between them, equal `radius_neighbors` over a cold
     /// engine's embedding of the mutated corpus at one thread and at the
     /// machine's thread count, and answer every Ball-D variant exactly as
-    /// that cold engine does. While the flips changed fewer than half the
-    /// embedding rows, each read after them repairs instead of rebuilding.
+    /// that cold engine does. Each read after a flip repairs the lists
+    /// instead of rebuilding them, however many rows the flips dirtied.
     #[test]
     fn repaired_ball_lists_answer_like_a_cold_engine(
         seed in 0u64..500,
@@ -541,13 +540,13 @@ proptest! {
             let live = GrainService::new();
             live.register_graph("live", g.clone(), x.clone()).unwrap();
             live.select(&request).unwrap();
-            let mut changed_since_read = 0usize;
+            let mut pending_since_read = 0usize;
             for step in 0..updates {
                 let graph = live.graph("live").unwrap();
                 let delta = single_edit(&graph, seed.wrapping_add(step as u64 * 7919));
                 let report = live.apply_update("live", &delta).unwrap();
                 prop_assert_eq!(report.engines_patched(), 1);
-                changed_since_read += report.patched[0].changed_embedding_rows;
+                pending_since_read += report.patched[0].dirty_propagation;
                 if !read_between && step + 1 < updates {
                     continue;
                 }
@@ -556,14 +555,9 @@ proptest! {
                 let builds = read.artifact_builds;
                 prop_assert_eq!(read.pool_event, PoolEvent::Hit);
                 prop_assert_eq!(builds.propagation_builds, 0);
-                if changed_since_read == 0 {
-                    prop_assert_eq!((builds.ball_repairs, builds.diversity_builds), (0, 0), "{}", context);
-                } else if changed_since_read * 2 < nodes {
-                    prop_assert_eq!((builds.ball_repairs, builds.diversity_builds), (1, 0), "{}", context);
-                } else {
-                    prop_assert_eq!(builds.ball_repairs + builds.diversity_builds, 1, "{}", context);
-                }
-                changed_since_read = 0;
+                let repairs = usize::from(pending_since_read > 0);
+                prop_assert_eq!((builds.ball_repairs, builds.diversity_builds), (repairs, 0), "{}", context);
+                pending_since_read = 0;
 
                 let mut cold = SelectionEngine::over(
                     config,
@@ -586,8 +580,7 @@ proptest! {
 }
 
 /// The exact repair accounting of one update: the read after it repairs
-/// the ball lists once, builds nothing, and `changed_embedding_rows` is
-/// at most the re-propagated row count.
+/// the ball lists once and builds nothing.
 #[test]
 fn the_read_after_an_update_repairs_ball_lists_instead_of_rebuilding() {
     let (g, x) = corpus(120, 41);
@@ -600,9 +593,7 @@ fn the_read_after_an_update_repairs_ball_lists_instead_of_rebuilding() {
     assert_eq!(first.artifact_builds.ball_repairs, 0);
 
     let report = service.apply_update("g", &single_edit(&g, 2)).unwrap();
-    let patch = &report.patched[0];
-    assert!(patch.changed_embedding_rows > 0, "{patch:?}");
-    assert!(patch.changed_embedding_rows <= patch.dirty_propagation);
+    assert!(report.patched[0].dirty_propagation > 0, "{report:?}");
     let read = service.select(&request).unwrap();
     assert_eq!(
         read.artifact_builds,
@@ -679,11 +670,9 @@ fn a_kernel_switch_before_a_patch_rebuilds_ball_lists_in_full() {
         engine.select_variant(GrainVariant::NoDiversity, &candidates, 6);
     }
     // The engine re-keyed under `walk` when the checkout dropped; the
-    // patch migrates the walk-kernel embedding only, and changes few of
-    // its rows (a repair would be chosen for the sym lists if they were
-    // kept).
+    // patch migrates the walk-kernel embedding only.
     let report = service.apply_update("g", &single_edit(&g, 8)).unwrap();
-    assert!(report.patched[0].changed_embedding_rows * 2 < 200);
+    assert!(report.patched[0].dirty_propagation > 0);
     let (checkout, event) = service.engine("g", &walk).unwrap();
     assert_eq!(event, PoolEvent::Hit, "the patched engine");
     let mut engine = checkout.lock();
@@ -700,4 +689,49 @@ fn a_kernel_switch_before_a_patch_rebuilds_ball_lists_in_full() {
     .unwrap()
     .select(&candidates, 6);
     assert_same_wire(&got, &cold, "kernel switch before a patch");
+}
+
+/// An update that dirties every row still repairs the lists: a repair of
+/// `n` pending rows measures no more pairs than the full build, so no
+/// pending-set size falls back to it. The repaired lists and answer equal
+/// a cold engine's.
+#[test]
+fn an_update_dirtying_every_row_still_repairs_ball_lists() {
+    let n = 80;
+    let (g, x) = corpus(n, 53);
+    let config = ball_config(Kernel::RandomWalk { k: 2 }, 0);
+    let request = SelectionRequest::new("g", config, Budget::Fixed(6));
+    let service = GrainService::new();
+    service.register_graph("g", g, x).unwrap();
+    service.select(&request).unwrap();
+
+    let delta = (0..n as u32).fold(GraphDelta::new(), |delta, v| {
+        let row = (0..FEATURE_DIM)
+            .map(|j| ((v as usize * 5 + j * 3) % 11) as f32 * 0.1 - 0.5)
+            .collect();
+        delta.set_features(v, row)
+    });
+    let report = service.apply_update("g", &delta).unwrap();
+    assert_eq!(report.patched[0].dirty_propagation, n);
+    let read = service.select(&request).unwrap();
+    assert_eq!(
+        (
+            read.artifact_builds.ball_repairs,
+            read.artifact_builds.diversity_builds
+        ),
+        (1, 0)
+    );
+
+    let mut cold = SelectionEngine::over(
+        config,
+        service.graph("g").unwrap(),
+        service.features("g").unwrap(),
+    )
+    .unwrap();
+    let (checkout, _) = service.engine("g", &config).unwrap();
+    let repaired = checkout.lock().ball_lists();
+    let full = distance::radius_neighbors(&cold.normalized_embedding(), config.radius, 1);
+    assert!(*repaired == full, "repaired lists equal a full build");
+    let want = cold.select(&(0..n as u32).collect::<Vec<_>>(), 6);
+    assert_same_wire(read.outcome(), &want, "every row dirty");
 }
